@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .groebner import Budget, Ideal
-from .polycore import Polynomial, prime_field
+from .polycore import Polynomial, _is_prime, prime_field
 from .triples import DivisorData, RingPresentation, TripleSpec
 
 
@@ -41,18 +42,12 @@ def clear_denominators(f: Polynomial):
     lcm = 1
     for c in f.terms.values():
         den = Fraction(c).denominator
-        lcm = lcm * den // _gcd(lcm, den)
+        lcm = lcm * den // gcd(lcm, den)
     cleared = f * lcm
     primes = set()
     for c in f.terms.values():
         primes |= _prime_factors(Fraction(c).denominator)
     return cleared, primes
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 @dataclass(frozen=True)
@@ -147,12 +142,6 @@ def suggest_primes(model: ArithmeticModel, count: int = 5, start: int = 2):
     return out
 
 
-def _is_prime(n: int) -> bool:
-    from .polycore import _is_prime as check
-
-    return check(n)
-
-
 # ---------------------------------------------------------------------------
 # Perfect-closure base change for geometric strong F-regularity.
 
@@ -220,12 +209,12 @@ def geometric_sfr_check(spec: TripleSpec, level: PerfectionLevel,
     over the perfect closure.  The escape test ignores base-variable
     exponents (they are units of the function field k).
     """
-    from .fcriteria import strongly_fregular_relative_escape
+    from .fcriteria import strongly_fregular
 
     model = perfection_model(spec, level)
     factor = spec.ring.domain.characteristic ** level.n
     c_model = c.scale_exponents(set(spec.ring.base_vars), factor) \
         if level.n else c
-    result = strongly_fregular_relative_escape(
-        model, c_model, e_max, spec.ring.fiber_vars, budget)
+    result = strongly_fregular(model, c_model, e_max, budget,
+                               escape_indices=spec.ring.fiber_vars)
     return GeometricSFRResult(result.status, level.n, result.e, result.witness)

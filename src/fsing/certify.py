@@ -17,9 +17,10 @@ from fractions import Fraction
 
 from . import __version__
 from .arithmodels import (
-    ArithmeticModel,
     PerfectionLevel,
     ReductionError,
+    _reduce_poly,
+    clear_denominators,
     geometric_sfr_check,
     perfection_model,
     reduce_mod_p,
@@ -42,6 +43,7 @@ from .triples import (
     polynomial_ring,
     quotient_ring,
 )
+from .verify import GSFR_TAG
 
 CERT_VERSION = "cert_v1"
 
@@ -49,7 +51,7 @@ THEOREM_TAGS = {
     "lc": "lc-from-sharp-f-purity-at-one-prime",
     "klt": "klt-from-strong-f-regularity-at-one-prime",
     "sfr": "strong-f-regularity-glassbrenner-witness",
-    "gsfr": "geometric-sfr-from-perfected-base",
+    "gsfr": GSFR_TAG,
     "deform": "sfr-deformation-consistency",
 }
 
@@ -66,7 +68,7 @@ class JobSpec:
     mode: str                       # lc | klt | sfr | gsfr | deform | fpt | tau
     prime: int | None = None
     e_max: int = 2
-    gb_budget: int = 10**7
+    gb_budget: int = 10**7          # reduction steps, per prime tried
     test_element: Polynomial | None = None
     assert_q_gorenstein: bool = False
     level: int = 0                  # gsfr perfection level
@@ -211,68 +213,72 @@ def _qgor_machine_checked(spec: TripleSpec) -> bool:
     return len(spec.ring.relations.gens) <= 1
 
 
-def _prime_plan(job: JobSpec, model: ArithmeticModel):
-    if job.prime is not None:
-        return [job.prime]
-    return suggest_primes(model)
+def _sweep_primes(job: JobSpec, kind: str, conclusion: str, assumptions,
+                  attempt) -> Certificate:
+    """The single-prime transfer argument for a Q-defined job.
 
-
-def _index_ok(spec: TripleSpec, p: int) -> bool:
-    return spec.index_denominator() % p != 0
-
-
-def certify_log_canonical(job: JobSpec) -> Certificate:
-    """Spread out, reduce at one good prime, test sharp F-purity, certify."""
+    Spread out, then try the pinned prime or the smallest good primes in
+    turn.  A prime dividing an index denominator is refused; a degenerate
+    reduction or an exhausted budget (a fresh ``job.budget()`` per prime)
+    moves on to the next prime.  ``attempt(spec_p, p, budget)`` returns
+    (status, witness or None); the first witness is emitted as
+    ``conclusion``, and no witness at any prime gives inconclusive.
+    """
     if job.spec.ring.domain.characteristic != 0:
-        raise CertifyError("lc mode expects a Q-defined input")
+        raise CertifyError(f"{kind} mode expects a Q-defined input")
     model = spread_out(job.spec)
-    budget = job.budget()
+    plan = [job.prime] if job.prime is not None else suggest_primes(model)
     tried = []
-    machine_qgor = _qgor_machine_checked(job.spec)
-    assumptions = _base_assumptions(job, machine_qgor)
-    for p in _prime_plan(job, model):
-        if not _index_ok(job.spec, p):
+    for p in plan:
+        if job.spec.index_denominator() % p == 0:
             tried.append({"prime": p, "status": "rejected_index_divisible"})
             continue
         try:
             spec_p = reduce_mod_p(model, p)
+            status, witness = attempt(spec_p, p, job.budget())
         except ReductionError as exc:
             tried.append({"prime": p, "status": f"degenerate: {exc}"})
             continue
-        for e in range(1, job.e_max + 1):
-            try:
-                result = sharply_fpure(spec_p, e, budget)
-            except BudgetExceededError:
-                tried.append({"prime": p, "status": "budget_exceeded"})
-                break
-            if result.holds:
-                tried.append({"prime": p, "status": f"sharply F-pure at e={e}"})
-                return _emit("log_canonical", THEOREM_TAGS["lc"], p,
-                             result.witness, spec_p, job.spec, assumptions,
-                             tried)
-        else:
-            tried.append({"prime": p,
-                          "status": f"no splitting found for e <= {job.e_max}"})
-    return _emit("inconclusive", THEOREM_TAGS["lc"], None, None, None,
+        except BudgetExceededError:
+            tried.append({"prime": p, "status": "budget_exceeded"})
+            continue
+        tried.append({"prime": p, "status": status})
+        if witness is not None:
+            return _emit(conclusion, THEOREM_TAGS[kind], p, witness, spec_p,
+                         job.spec, assumptions, tried)
+    return _emit("inconclusive", THEOREM_TAGS[kind], None, None, None,
                  job.spec, assumptions, tried)
+
+
+def certify_log_canonical(job: JobSpec) -> Certificate:
+    """Spread out, reduce at one good prime, test sharp F-purity, certify."""
+
+    def attempt(spec_p, p, budget):
+        for e in range(1, job.e_max + 1):
+            result = sharply_fpure(spec_p, e, budget)
+            if result.holds:
+                return f"sharply F-pure at e={e}", result.witness
+        return f"no splitting found for e <= {job.e_max}", None
+
+    assumptions = _base_assumptions(job, _qgor_machine_checked(job.spec))
+    return _sweep_primes(job, "lc", "log_canonical", assumptions, attempt)
 
 
 def certify_klt(job: JobSpec) -> Certificate:
     """Strong F-regularity at one good prime certifies klt for Q input
     (or strong F-regularity itself for an F_p-native input)."""
-    budget = job.budget()
     if job.test_element is None:
         raise CertifyError("klt/sfr modes need a test element "
                            "(suggest_test_elements can propose candidates)")
-    machine_qgor = _qgor_machine_checked(job.spec)
-    assumptions = _base_assumptions(job, machine_qgor)
+    assumptions = _base_assumptions(job, _qgor_machine_checked(job.spec))
     assumptions.append("test element vanishes on the non-regular locus "
                        "(user-asserted)")
 
     if job.spec.ring.domain.characteristic != 0:
         # F_p-native: certify strong F-regularity directly
         p = job.spec.ring.domain.p
-        result = strongly_fregular(job.spec, job.test_element, job.e_max, budget)
+        result = strongly_fregular(job.spec, job.test_element, job.e_max,
+                                   job.budget())
         tried = [{"prime": p, "status": result.status}]
         if result.certified:
             return _emit("strongly_F_regular", THEOREM_TAGS["sfr"], p,
@@ -280,41 +286,17 @@ def certify_klt(job: JobSpec) -> Certificate:
         return _emit("inconclusive", THEOREM_TAGS["sfr"], p, None, None,
                      job.spec, assumptions, tried)
 
-    model = spread_out(job.spec)
-    tried = []
-    for p in _prime_plan(job, model):
-        if not _index_ok(job.spec, p):
-            tried.append({"prime": p, "status": "rejected_index_divisible"})
-            continue
-        try:
-            spec_p = reduce_mod_p(model, p)
-            c_p, cprimes = _reduce_test_element(job.test_element, p)
-        except ReductionError as exc:
-            tried.append({"prime": p, "status": f"degenerate: {exc}"})
-            continue
-        if cprimes and p in cprimes:
-            tried.append({"prime": p, "status": "test element denominator"})
-            continue
-        try:
-            result = strongly_fregular(spec_p, c_p, job.e_max, budget)
-        except BudgetExceededError:
-            tried.append({"prime": p, "status": "budget_exceeded"})
-            continue
-        tried.append({"prime": p, "status": result.status})
-        if result.certified:
-            return _emit("klt", THEOREM_TAGS["klt"], p, result.witness,
-                         spec_p, job.spec, assumptions, tried)
-    return _emit("inconclusive", THEOREM_TAGS["klt"], None, None, None,
-                 job.spec, assumptions, tried)
+    def attempt(spec_p, p, budget):
+        cleared, cprimes = clear_denominators(job.test_element)
+        if p in cprimes:
+            return "test element denominator", None
+        c_p = _reduce_poly(cleared, p)
+        if spec_p.ring.relations.contains(c_p):
+            raise ReductionError(f"test element vanishes mod {p}")
+        result = strongly_fregular(spec_p, c_p, job.e_max, budget)
+        return result.status, result.witness
 
-
-def _reduce_test_element(c: Polynomial, p: int):
-    from .arithmodels import clear_denominators, _reduce_poly
-
-    if c.domain.is_rational:
-        cleared, primes = clear_denominators(c)
-        return _reduce_poly(cleared, p), primes
-    return c, set()
+    return _sweep_primes(job, "klt", "klt", assumptions, attempt)
 
 
 def certify_gsfr(job: JobSpec) -> Certificate:
@@ -465,6 +447,18 @@ def parse_job(data: dict, mode: str | None = None, **overrides) -> JobSpec:
     return job
 
 
+def _at_one_prime(job: JobSpec, check_index: bool) -> TripleSpec:
+    """The job's triple over F_p: an F_p input as given, a Q input reduced
+    at the pinned prime or else the first suggested one."""
+    if job.spec.ring.domain.characteristic != 0:
+        return job.spec
+    model = spread_out(job.spec)
+    p = job.prime or suggest_primes(model)[0]
+    if check_index and job.spec.index_denominator() % p == 0:
+        raise CertifyError(f"prime {p} divides the index denominators")
+    return reduce_mod_p(model, p)
+
+
 def run_job(job: JobSpec) -> dict:
     """Dispatch one job; returns a JSON-ready result record."""
     if job.mode == "lc":
@@ -486,19 +480,13 @@ def run_job(job: JobSpec) -> dict:
                "theorem_violation_candidate": report.theorem_violation_candidate}
         return out
     if job.mode == "fpt":
-        if job.spec.delta.components:
-            f = job.spec.delta.components[0][0]
-        elif not job.spec.a_is_trivial:
-            f = job.spec.a.gens[0]
-        else:
+        if not job.spec.delta.components and job.spec.a_is_trivial:
             raise CertifyError("fpt mode needs a divisor component or ideal")
-        spec_p = job.spec
-        if job.spec.ring.domain.characteristic == 0:
-            model = spread_out(job.spec)
-            p = job.prime or suggest_primes(model)[0]
-            spec_p = reduce_mod_p(model, p)
-            f = spec_p.delta.components[0][0] if spec_p.delta.components \
-                else spec_p.a.gens[0]
+        # nu(f, e) does not involve the divisor coefficient, so no prime is
+        # refused for dividing an index denominator
+        spec_p = _at_one_prime(job, check_index=False)
+        f = spec_p.delta.components[0][0] if spec_p.delta.components \
+            else spec_p.a.gens[0]
         names = spec_p.ring.var_names
         values = []
         for e in range(1, job.e_max + 1):
@@ -509,13 +497,7 @@ def run_job(job: JobSpec) -> dict:
         return {"fpt": {"f": f.to_string(names),
                         "p": spec_p.ring.domain.p, "values": values}}
     if job.mode == "tau":
-        spec_p = job.spec
-        if job.spec.ring.domain.characteristic == 0:
-            model = spread_out(job.spec)
-            p = job.prime or suggest_primes(model)[0]
-            if not _index_ok(job.spec, p):
-                raise CertifyError(f"prime {p} divides the index denominators")
-            spec_p = reduce_mod_p(model, p)
+        spec_p = _at_one_prime(job, check_index=True)
         result = tau_pair_divisor(spec_p.ring, spec_p.delta, spec_p.a,
                                   spec_p.lam, job.n_max, job.budget())
         names = spec_p.ring.var_names

@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .groebner import Budget, Ideal, colon_ideal, divide
-from .polycore import GREVLEX, DomainError, Polynomial, PolyError
+from .polycore import GREVLEX, DomainError, Polynomial, PolyError, ceil_frac
 from .frobenius import FrobeniusPower, bracket_power, decompose
 from .triples import DivisorData, RingPresentation, TripleSpec
 
@@ -44,17 +44,11 @@ __all__ = [
     "find_positive_grading",
     "ring_dimension",
     "singular_locus_ideal",
-    "strongly_fregular_relative_escape",
 ]
 
 
 class NonGradedError(Exception):
     pass
-
-
-def _ceil_frac(x: Fraction) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 def escapes_bracket_maximal(f: Polynomial, q: int, indices=None) -> bool:
@@ -185,11 +179,11 @@ def _multiplier_candidates(spec: TripleSpec, q: int):
     d_fixed = ring.constant(1)
     factors = []
     for g, c in spec.delta.components:
-        k = _ceil_frac(c * (q - 1))
+        k = ceil_frac(c * (q - 1))
         if k:
             d_fixed = d_fixed * g ** k
             factors.append(WitnessFactor(g, k, "divisor"))
-    weight = _ceil_frac(spec.lam * (q - 1))
+    weight = ceil_frac(spec.lam * (q - 1))
     if weight == 0 or spec.a_is_trivial:
         yield d_fixed, tuple(factors)
         return
@@ -204,8 +198,14 @@ def _multiplier_candidates(spec: TripleSpec, q: int):
         yield d, tuple(combo_factors)
 
 
-def _search_witness(spec: TripleSpec, e: int, colon_gens, q: int,
+def _search_witness(spec: TripleSpec, e: int, budget: Budget | None,
                     extra: Polynomial | None = None, escape_indices=None):
+    """One exponent of the colon criterion: a witness d * h, with h a
+    generator of (I^[q] : I) and d a multiplier (times ``extra``, the test
+    element of an SFR check), escaping m^[q]; None if there is none."""
+    power = FrobeniusPower(spec.ring.domain.characteristic, e)
+    q = power.q
+    colon_gens = _fedder_colon(spec.ring, power, budget)
     for d, factors in _multiplier_candidates(spec, q):
         if extra is not None:
             d = d * extra
@@ -231,9 +231,7 @@ def sharply_fpure(spec: TripleSpec, e: int,
         raise DomainError("sharp F-purity lives in positive characteristic")
     if e < 1:
         raise ValueError("e must be >= 1")
-    power = FrobeniusPower(p, e)
-    colon_gens = _fedder_colon(spec.ring, power, budget)
-    witness = _search_witness(spec, e, colon_gens, power.q)
+    witness = _search_witness(spec, e, budget)
     if witness is not None:
         return FPurityResult("holds", e, witness)
     # products of generators generate the multiplier ideal, so exhausting
@@ -244,46 +242,25 @@ def sharply_fpure(spec: TripleSpec, e: int,
 
 
 def strongly_fregular(spec: TripleSpec, c: Polynomial, e_max: int,
-                      budget: Budget | None = None) -> SFRResult:
+                      budget: Budget | None = None,
+                      escape_indices=None) -> SFRResult:
     """Certify strong F-regularity with the supplied test element c.
 
     c must not vanish on any component of the non-regular locus
     (user-asserted).  Returns certified(e) with a re-checkable witness, or
     inconclusive(e_max); a negative verdict is never produced.
+
+    ``escape_indices`` restricts the escape from m^[q] to those variables:
+    over a function-field base F_p(t..) the base variables are units of the
+    coefficient field, so only fiber exponents can obstruct a witness.
     """
     ring = spec.ring
-    p = ring.domain.characteristic
-    if p == 0:
+    if ring.domain.characteristic == 0:
         raise DomainError("strong F-regularity lives in positive characteristic")
-    if c.is_zero() or (not ring.relations.is_zero() and ring.relations.contains(c)):
+    if ring.relations.contains(c):
         raise PolyError("test element must be nonzero in R")
     for e in range(1, e_max + 1):
-        power = FrobeniusPower(p, e)
-        colon_gens = _fedder_colon(ring, power, budget)
-        witness = _search_witness(spec, e, colon_gens, power.q, extra=c)
-        if witness is not None:
-            return SFRResult("certified", e, witness)
-    return SFRResult("inconclusive", e_max)
-
-
-def strongly_fregular_relative_escape(spec: TripleSpec, c: Polynomial,
-                                      e_max: int, fiber_indices,
-                                      budget: Budget | None = None) -> SFRResult:
-    """Glassbrenner search with the escape test on fiber variables only.
-
-    Used for rings over a function-field base F_p(t..): base variables are
-    units of the coefficient field, so only fiber exponents can obstruct a
-    witness monomial from escaping m^[q]."""
-    ring = spec.ring
-    p = ring.domain.characteristic
-    if c.is_zero() or (not ring.relations.is_zero() and ring.relations.contains(c)):
-        raise PolyError("test element must be nonzero in R")
-    fiber = list(fiber_indices)
-    for e in range(1, e_max + 1):
-        power = FrobeniusPower(p, e)
-        colon_gens = _fedder_colon(ring, power, budget)
-        witness = _search_witness(spec, e, colon_gens, power.q, extra=c,
-                                  escape_indices=fiber)
+        witness = _search_witness(spec, e, budget, c, escape_indices)
         if witness is not None:
             return SFRResult("certified", e, witness)
     return SFRResult("inconclusive", e_max)
@@ -395,7 +372,8 @@ def suggest_test_elements(ring: RingPresentation, max_candidates: int = 8,
         seen.add(f)
         out.append(f)
 
-    # variables with a power in the singular ideal come first: low degree
+    # variables with a power in the singular ideal, then the Jacobian minors
+    # among its generators (consider() drops the relations themselves)
     power_cap = 3 * ring.nvars
     for i in range(ring.nvars):
         x = ring.variable(i)
@@ -405,11 +383,7 @@ def suggest_test_elements(ring: RingPresentation, max_candidates: int = 8,
                 consider(x)
                 break
             acc = acc * x
-    codim = ring.nvars - ring_dimension(ring, budget)
-    codim = max(1, min(codim, min(len(ring.relations.gens), ring.nvars)))
-    jac = [[_partial_derivative(g, i) for i in range(ring.nvars)]
-           for g in ring.relations.gens]
-    for m in _minors(jac, codim, ring):
+    for m in sing.gens:
         consider(m)
     out.sort(key=lambda f: (f.total_degree(), f.sort_key()))
     return out[:max_candidates]

@@ -237,10 +237,6 @@ class Ideal:
     def zero(cls, domain, nvars):
         return cls(domain, nvars, ())
 
-    def with_known_gb(self, order: MonomialOrder, gb) -> "Ideal":
-        self._gb_cache[order.cache_token()] = tuple(gb)
-        return self
-
     def is_zero(self) -> bool:
         return not self.gens
 

@@ -38,6 +38,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def ceil_frac(x) -> int:
+    """The exact ceiling of a rational number."""
+    x = Fraction(x)
+    return -((-x.numerator) // x.denominator)
+
+
 @dataclass(frozen=True)
 class CoefficientDomain:
     """Either the rationals (p is None) or the prime field F_p."""

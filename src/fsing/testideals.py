@@ -19,18 +19,13 @@ from fractions import Fraction
 from math import gcd
 
 from .groebner import Budget, Ideal, buchberger, ideal_power, ideal_product
-from .polycore import DomainError, Polynomial
+from .polycore import DomainError, Polynomial, ceil_frac
 from .frobenius import FrobeniusPower, embed_ideal_to_level, frobenius_root
 from .triples import DivisorData, PresentationError, RingPresentation
 
 
 class TestIdealError(Exception):
     pass
-
-
-def _ceil_frac(x) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
 
 
 @dataclass(frozen=True)
@@ -92,7 +87,7 @@ def _tau_summand(gamma: PLinearMap, I: Ideal, a: Ideal, lam: Fraction, i: int,
                  apow_cache: dict, fiber_indices=None) -> Ideal:
     """frobenius_root(u^{(i)} a^{ceil(q^i lam)} I, q^i), relative if asked."""
     q = gamma.power.q
-    n_a = _ceil_frac(Fraction(lam) * q ** i)
+    n_a = ceil_frac(Fraction(lam) * q ** i)
     J = ideal_product(_power_with_cache(a, n_a, apow_cache), I)
     ui = gamma.iterated_multiplier(i)
     J = Ideal(J.domain, J.nvars, [ui * g for g in J.gens])
@@ -167,7 +162,7 @@ def pair_multiplier(R: RingPresentation, delta: DivisorData,
     test = R.constant(1)
     for g, c in delta.components:
         u = u * g ** int(c * (q - 1))
-        test = test * g ** _ceil_frac(c)
+        test = test * g ** ceil_frac(c)
     return FrobeniusPower(p, e), u, Ideal(R.domain, R.nvars, [test])
 
 
@@ -262,10 +257,6 @@ def tau_relative(setup: RelativeSetup, n: int,
                      "proposition" if setup.skoda_guaranteed() else "none")
 
 
-def _lift_result(result: Ideal, base, power: FrobeniusPower, levels: int) -> Ideal:
-    return embed_ideal_to_level(result, base, power, levels)
-
-
 def stabilization_scan(setup: RelativeSetup, n_max: int,
                        budget: Budget | None = None) -> TauResult:
     """First n with tau_{n-1} B_n = tau_n, re-verified at the next level."""
@@ -277,7 +268,7 @@ def stabilization_scan(setup: RelativeSetup, n_max: int,
     current = prev
     for n in range(1, n_max + 1):
         current = tau_relative(setup, n, budget)
-        lifted_prev = _lift_result(prev.ideal, base, power, 1)
+        lifted_prev = embed_ideal_to_level(prev.ideal, base, power, 1)
         if current.ideal.equals(lifted_prev, budget):
             found = n
             break
@@ -419,7 +410,7 @@ def _tau_multi(R: RingPresentation, delta: DivisorData, pairs, n_max: int,
     for i in range(n_max + 1):
         J = I
         for (aj, lj), cache in zip(pairs, apows):
-            J = ideal_product(J, _power_with_cache(aj, _ceil_frac(Fraction(lj) * q ** i), cache))
+            J = ideal_product(J, _power_with_cache(aj, ceil_frac(Fraction(lj) * q ** i), cache))
         ui = gamma.iterated_multiplier(i)
         J = Ideal(J.domain, J.nvars, [ui * g for g in J.gens])
         if i:
@@ -456,7 +447,7 @@ def sum_decomposition_check(R: RingPresentation, delta: DivisorData,
         # f_i: products of generators of a_i of total weight ceil(m lam_i)
         fs = []
         for aj, lj in pairs:
-            k = _ceil_frac(Fraction(lj) * m)
+            k = ceil_frac(Fraction(lj) * m)
             f = R.constant(1)
             for t, g in enumerate(aj.gens):
                 share = k // len(aj.gens) + (1 if t < k % len(aj.gens) else 0)

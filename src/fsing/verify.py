@@ -10,7 +10,9 @@ the criteria code.  Checks performed:
      component g appears with exponent >= ceil(c (q-1)) and the a-generator
      factors have total weight >= ceil(lambda (q-1));
   3. the colon element h satisfies h * I subseteq I^[q];
-  4. the witness element escapes m^[q] (a monomial with all exponents < q).
+  4. the witness element escapes m^[q] (a monomial with all exponents < q,
+     or, for a geometric SFR certificate over a function-field base, with
+     the exponents < q of the fiber variables listed in ``escape_indices``).
 
 Together these re-prove the splitting at exponent e by the colon criterion.
 """
@@ -22,12 +24,10 @@ import sys
 from fractions import Fraction
 
 from .groebner import Ideal
-from .polycore import Polynomial, parse_polynomial, prime_field
+from .polycore import Polynomial, ceil_frac, parse_polynomial, prime_field
 
-
-def _ceil_frac(x) -> int:
-    x = Fraction(x)
-    return -((-x.numerator) // x.denominator)
+# The one theorem whose witness may escape m^[q] in the fiber variables only.
+GSFR_TAG = "geometric-sfr-from-perfected-base"
 
 
 def verify_witness_data(data: dict) -> bool:
@@ -64,14 +64,14 @@ def verify_witness_data(data: dict) -> bool:
     for poly, exponent, source in factors:
         recorded[(source, poly)] = recorded.get((source, poly), 0) + exponent
     for g, c in delta:
-        needed = _ceil_frac(c * (q - 1))
+        needed = ceil_frac(c * (q - 1))
         if needed and recorded.get(("divisor", g), 0) < needed:
             return False
     a_gens = [parse(s) for s in data.get("a", [])]
     a_trivial = not a_gens or any(g.is_constant() and not g.is_zero()
                                   for g in a_gens)
     if not a_trivial:
-        needed = _ceil_frac(lam * (q - 1))
+        needed = ceil_frac(lam * (q - 1))
         weight = sum(exp for (source, _), exp in recorded.items()
                      if source == "ideal_a")
         # factors must actually be generators of a
@@ -88,10 +88,13 @@ def verify_witness_data(data: dict) -> bool:
             if not bracket.contains(colon_element * g):
                 return False
 
-    # 4. escape from m^[q]
-    if not any(all(exp < q for exp in mono) for mono in witness.terms):
+    # 4. escape from m^[q], in the fiber variables only when recorded
+    indices = data.get("escape_indices", list(range(nvars)))
+    if (not isinstance(indices, list) or not indices
+            or any(type(i) is not int or not 0 <= i < nvars for i in indices)
+            or len(set(indices)) != len(indices)):
         return False
-    return True
+    return any(all(mono[i] < q for i in indices) for mono in witness.terms)
 
 
 def verify_certificate_file(path: str) -> bool:
@@ -105,6 +108,10 @@ def verify_certificate_file(path: str) -> bool:
     data = cert.get("verification")
     if data is None:
         print("certificate carries no verification block")
+        return False
+    if "escape_indices" in data and cert.get("theorem_tag") != GSFR_TAG:
+        print("escape_indices are allowed only in a "
+              f"{GSFR_TAG} certificate")
         return False
     try:
         return verify_witness_data(data)

@@ -9,6 +9,7 @@ import pytest
 
 from fsing.certify import (
     CertifyError,
+    certify_gsfr,
     certify_klt,
     certify_log_canonical,
     parse_job,
@@ -17,9 +18,10 @@ from fsing.certify import (
 )
 from fsing.polycore import prime_field
 from fsing.triples import quotient_ring
-from fsing.verify import verify_witness_data
+from fsing.verify import verify_certificate_file, verify_witness_data
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "corpus_report.json"
 
 
 def lc_job(**extra):
@@ -71,6 +73,17 @@ class TestCertifyLogCanonical:
         assert cert.conclusion == "log_canonical"
         assert cert.prime == 7  # 2, 3 divide 6; 5 fails; 7 certifies
 
+    def test_budget_is_per_prime(self):
+        # 100 reduction steps suffice at each prime of the sweep, but not
+        # for 2, 3, 5 and 7 together: the budget must not carry over
+        job = parse_job({
+            "variables": ["x", "y", "z"], "coefficient": "Q",
+            "relations": ["x^3 + y^3 + z^3"], "e_max": 1, "gb_budget": 100,
+        }, "lc")
+        cert = certify_log_canonical(job)
+        assert cert.conclusion == "log_canonical" and cert.prime == 7
+        assert all(t["status"] != "budget_exceeded" for t in cert.primes_tried)
+
     def test_fp_input_rejected(self):
         data = {
             "variables": ["x", "y"], "coefficient": "Fp", "p": 7,
@@ -117,6 +130,21 @@ class TestCertifyKlt:
         cert = certify_klt(job)
         assert cert.conclusion == "strongly_F_regular"
 
+    @pytest.mark.parametrize("element", ["3*x", "x^2 + y^2 + z^2 + 3*x"])
+    def test_test_element_vanishing_mod_p_is_degenerate(self, element):
+        # mod 3 the element is 0, or lies in the relations: a degenerate
+        # prime for this test element, not a crash of the sweep
+        job = parse_job({
+            "variables": ["x", "y", "z"], "coefficient": "Q",
+            "relations": ["x^2 + y^2 + z^2"],
+            "test_element": element, "e_max": 1,
+        }, "klt")
+        cert = certify_klt(job)
+        assert {"prime": 3, "status": "degenerate: test element vanishes mod 3"} \
+            in cert.primes_tried
+        assert cert.conclusion == "klt" and cert.prime == 5
+        assert verify_witness_data(cert.verification)
+
     def test_missing_test_element(self):
         job = parse_job({
             "variables": ["x", "y"], "coefficient": "Q", "prime": 5,
@@ -145,6 +173,32 @@ class TestCertifyKlt:
         assert cert.conclusion == "klt"
         assert cert.prime == 3 and cert.exponent_witness == 3
         assert verify_witness_data(cert.verification)
+
+
+class TestCertifyGsfr:
+    def gsfr_job(self, test_element):
+        return parse_job({
+            "variables": ["t", "x", "y", "z"], "base_variables": ["t"],
+            "coefficient": "Fp", "p": 5, "relations": ["x^2 + y^2 + z^2"],
+            "test_element": test_element, "level": 0, "e_max": 1,
+        }, "gsfr")
+
+    def test_base_unit_in_test_element(self, tmp_path):
+        # t is a unit of F_5(t), so t^5*x is a test element; the witness
+        # escapes m^[q] only in the fiber variables x, y, z
+        cert = certify_gsfr(self.gsfr_job("t^5*x"))
+        assert cert.conclusion == "geometrically_strongly_F_regular"
+        assert cert.verification["escape_indices"] == [1, 2, 3]
+        assert verify_witness_data(cert.verification)
+        path = tmp_path / "gsfr.json"
+        path.write_text(cert.to_json())
+        assert verify_certificate_file(str(path))
+
+    @pytest.mark.parametrize("indices", [[], [1, 1], [0, 4], [True], "x", 1])
+    def test_malformed_escape_indices_fail_closed(self, indices):
+        data = dict(certify_gsfr(self.gsfr_job("x")).verification,
+                    escape_indices=indices)
+        assert not verify_witness_data(data)
 
 
 class TestDeformation:
@@ -218,6 +272,16 @@ class TestCertificateContract:
         assert cert.assumptions
         assert cert.to_dict()["cert_version"] == "cert_v1"
 
+    def test_escape_indices_rejected_outside_gsfr(self, tmp_path):
+        # a relative escape test must not weaken an lc certificate, even
+        # where the witness would pass it
+        cert = certify_log_canonical(lc_job(prime=7, e_max=1)).to_dict()
+        cert["verification"]["escape_indices"] = [0]
+        assert verify_witness_data(cert["verification"])
+        path = tmp_path / "lc.json"
+        path.write_text(json.dumps(cert))
+        assert not verify_certificate_file(str(path))
+
     def test_verifier_fails_closed_on_malformed_data(self, tmp_path):
         cert = certify_log_canonical(lc_job(prime=7, e_max=1)).to_dict()
         del cert["verification"]["colon_element"]
@@ -260,6 +324,22 @@ class TestCorpusRunner:
         report = run_corpus(str(bundled))
         failures = [r["name"] for r in report["results"] if not r["pass"]]
         assert report["all_pass"], failures
+
+    def test_bundled_corpus_report_matches_golden(self):
+        # the report is byte-reproducible apart from where and when it ran
+        def strip(obj):
+            if isinstance(obj, dict):
+                return {k: strip(v) for k, v in obj.items()
+                        if k != "timestamp"}
+            if isinstance(obj, list):
+                return [strip(v) for v in obj]
+            return obj
+
+        bundled = Path(SRC) / "fsing" / "data" / "corpus.json"
+        report = run_corpus(str(bundled))
+        del report["corpus"], report["generated_at"]
+        fresh = json.dumps(strip(report), indent=2, sort_keys=True) + "\n"
+        assert fresh == GOLDEN_REPORT.read_text(encoding="utf-8")
 
 
 class TestCLI:
