@@ -449,14 +449,17 @@ def parse_job(data: dict, mode: str | None = None, **overrides) -> JobSpec:
 
 def _at_one_prime(job: JobSpec, check_index: bool) -> TripleSpec:
     """The job's triple over F_p: an F_p input as given, a Q input reduced
-    at the pinned prime or else the first suggested one."""
+    at the pinned prime or else at the first suggested one that the index
+    check (when asked for) does not refuse."""
     if job.spec.ring.domain.characteristic != 0:
         return job.spec
     model = spread_out(job.spec)
-    p = job.prime or suggest_primes(model)[0]
-    if check_index and job.spec.index_denominator() % p == 0:
-        raise CertifyError(f"prime {p} divides the index denominators")
-    return reduce_mod_p(model, p)
+    plan = [job.prime] if job.prime else suggest_primes(model)
+    for p in plan:
+        if not check_index or job.spec.index_denominator() % p != 0:
+            return reduce_mod_p(model, p)
+    raise CertifyError(f"every prime tried ({', '.join(map(str, plan))}) "
+                       "divides the index denominators")
 
 
 def run_job(job: JobSpec) -> dict:

@@ -2,12 +2,14 @@
 
 Buchberger runs with the sugar selection strategy and both classical pair
 criteria (coprime leading monomials, chain criterion), with a deterministic
-pair order so outputs are reproducible.  A reduction-step budget guards
+pair order so outputs are reproducible: pairs wait in a heap of distinct
+(sugar, order key of the lcm, i, j) tuples.  A reduction-step budget guards
 against runaway computations; exceeding it raises BudgetExceededError.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .polycore import (
@@ -54,14 +56,12 @@ def divide(f: Polynomial, divisors, order: MonomialOrder = GREVLEX,
     Leading terms are tracked with a lazy-deletion min-heap on heap keys;
     stale entries are skipped on pop.
     """
-    import heapq
-
     budget = _ensure_budget(budget)
     dom = f.domain
     nvars = f.nvars
     divs = [g for g in divisors if g]
     lms = [g.leading_monomial(order) for g in divs]
-    lcs = [g.terms[m] for g, m in zip(divs, lms)]
+    inv_lcs = [dom.inv(g.terms[m]) for g, m in zip(divs, lms)]
     quotients = [dict() for _ in divs] if with_quotients else None
     rem: dict = {}
     work = dict(f.terms)
@@ -79,7 +79,7 @@ def divide(f: Polynomial, divisors, order: MonomialOrder = GREVLEX,
         for i, gm in enumerate(lms):
             if mono_divides(gm, lm):
                 factor_m = mono_div(lm, gm)
-                factor_c = dom.mul(lc, dom.inv(lcs[i]))
+                factor_c = dom.mul(lc, inv_lcs[i])
                 if with_quotients:
                     q = quotients[i]
                     q[factor_m] = dom.add(q.get(factor_m, dom.zero()), factor_c)
@@ -137,14 +137,15 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
         sugar = sum(lcm) + max(sugars[i] - sum(lms[i]), sugars[j] - sum(lms[j]))
         return (sugar, order.key(lcm), i, j)
 
-    pairs = {(i, j): pair_data(i, j)
-             for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # every (sugar, key, i, j) is distinct, so the heap pops pairs in the
+    # same order as a scan for the minimum would
+    pairs = [pair_data(i, j)
+             for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    heapq.heapify(pairs)
     done = set()
 
     while pairs:
-        (i, j) = min(pairs, key=lambda k: pairs[k])
-        pair_sugar = pairs[(i, j)][0]
-        del pairs[(i, j)]
+        pair_sugar, _, i, j = heapq.heappop(pairs)
         done.add((i, j))
         lcm = mono_lcm(lms[i], lms[j])
         # product criterion
@@ -173,7 +174,7 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
             lms.append(r.leading_monomial(order))
             sugars.append(new_sugar)
             for k in range(new_index):
-                pairs[(k, new_index)] = pair_data(k, new_index)
+                heapq.heappush(pairs, pair_data(k, new_index))
     return _reduce_basis(basis, order, budget)
 
 

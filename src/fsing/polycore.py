@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Iterator, Mapping
 
 
@@ -124,21 +125,24 @@ def prime_field(p: int) -> CoefficientDomain:
 
 Monomial = tuple
 
+# map() over two tuples runs these in C; they sit in the inner loops of
+# multiplication and division.
+
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: Monomial) -> int:
@@ -198,15 +202,20 @@ def elimination_order(block: int) -> MonomialOrder:
 
 
 class Polynomial:
-    """Immutable sparse polynomial in a fixed number of variables."""
+    """Immutable sparse polynomial in a fixed number of variables.
 
-    __slots__ = ("domain", "nvars", "terms")
+    ``_lm`` caches the last leading monomial computed, as (order, monomial);
+    the terms never change after construction, so it stays valid.
+    """
+
+    __slots__ = ("domain", "nvars", "terms", "_lm")
 
     def __init__(self, domain: CoefficientDomain, nvars: int,
                  terms: Mapping[Monomial, object] | Iterable = (), *,
                  _clean: bool = False):
         self.domain = domain
         self.nvars = nvars
+        self._lm = None
         if _clean:
             self.terms = dict(terms)
             return
@@ -373,9 +382,14 @@ class Polynomial:
         return len(degs) == 1
 
     def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Monomial:
+        cached = self._lm
+        if cached is not None and (cached[0] is order or cached[0] == order):
+            return cached[1]
         if not self.terms:
             raise PolyError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        lm = max(self.terms, key=order.key)
+        self._lm = (order, lm)
+        return lm
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX):
         return self.terms[self.leading_monomial(order)]
@@ -542,6 +556,10 @@ def default_variable_names(nvars: int):
 # Whitespace is insignificant; implicit multiplication is a syntax error.
 
 
+# str.isdigit also accepts digits such as '²' that int() rejects.
+_DIGITS = frozenset("0123456789")
+
+
 class _Tokenizer:
     def __init__(self, text: str):
         self.text = text
@@ -556,9 +574,9 @@ class _Tokenizer:
         if i >= len(t):
             return ("end", "", i)
         ch = t[i]
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < len(t) and t[j].isdigit():
+            while j < len(t) and t[j] in _DIGITS:
                 j += 1
             return ("int", t[i:j], i)
         if ch.isalpha() or ch == "_":
@@ -613,23 +631,32 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
             else:
                 return result
 
+    def parse_exponent() -> int | None:
+        """The natural number after a '^', or None when no '^' follows."""
+        if tok.peek()[0] != "^":
+            return None
+        tok.next()
+        k, v, pos = tok.next()
+        if k != "int":
+            raise ParseError("expected a natural number after '^'", pos)
+        return int(v)
+
     def parse_factor() -> Polynomial:
-        base = parse_base()
-        kind, _, _ = tok.peek()
-        if kind == "^":
+        kind, value, pos = tok.peek()
+        if kind == "name":
+            # a variable power is a monomial: build it, do not multiply
             tok.next()
-            k, v, pos = tok.next()
-            if k != "int":
-                raise ParseError("expected a natural number after '^'", pos)
-            return base ** int(v)
-        return base
+            if value not in index:
+                raise ParseError(f"unknown identifier {value!r}", pos)
+            k = parse_exponent()
+            return Polynomial.variable(domain, nvars, index[value],
+                                       1 if k is None else k)
+        base = parse_base()
+        k = parse_exponent()
+        return base if k is None else base ** k
 
     def parse_base() -> Polynomial:
         kind, value, pos = tok.next()
-        if kind == "name":
-            if value not in index:
-                raise ParseError(f"unknown identifier {value!r}", pos)
-            return Polynomial.variable(domain, nvars, index[value])
         if kind == "int":
             num = int(value)
             k, _, _ = tok.peek()

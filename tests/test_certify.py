@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fsing.arithmodels import reduce_mod_p, spread_out
 from fsing.certify import (
     CertifyError,
     certify_gsfr,
@@ -14,9 +15,11 @@ from fsing.certify import (
     certify_log_canonical,
     parse_job,
     run_corpus,
+    run_job,
     verify_deformation_sfr,
 )
 from fsing.polycore import prime_field
+from fsing.testideals import tau_pair_divisor
 from fsing.triples import quotient_ring
 from fsing.verify import verify_certificate_file, verify_witness_data
 
@@ -152,27 +155,39 @@ class TestCertifyKlt:
         with pytest.raises(CertifyError):
             certify_klt(job)
 
-    def test_determinantal_ring_over_q_at_p3(self):
+    def test_determinantal_ring_over_q_at_p3(self, det5_klt_certificate):
         # the corpus determinantal ring, defined over Q with the 81*E^4
         # perturbation: a single good prime (p = 3) certifies klt even
         # though larger primes stay inconclusive
-        job = parse_job({
-            "variables": ["A", "B", "C", "D", "E"],
-            "coefficient": "Q",
-            "relations": [
-                "(A^2 + 81*E^4)*A^2 - B*C",
-                "(A^2 + 81*E^4)*(B^4 - D) - D*C",
-                "B*(B^4 - D) - D*A^2",
-            ],
-            "test_element": "B",
-            "prime": 3,
-            "e_max": 3,
-            "assert_q_gorenstein": True,
-        }, "klt")
-        cert = certify_klt(job)
+        cert = det5_klt_certificate
         assert cert.conclusion == "klt"
         assert cert.prime == 3 and cert.exponent_witness == 3
         assert verify_witness_data(cert.verification)
+
+
+class TestRunJobTau:
+    def tau_job(self, **extra):
+        return parse_job({
+            "variables": ["x", "y"], "coefficient": "Q",
+            "delta": [{"g": "x^2 + y^3", "c": "5/6"}], "n_max": 3, **extra,
+        }, "tau")
+
+    def test_unpinned_moves_past_refused_primes(self):
+        # 2 and 3 divide the denominator of 5/6; the first suggested prime
+        # the index check accepts is 5
+        job = self.tau_job()
+        tau = run_job(job)["tau"]
+        assert tau["p"] == 5
+        spec_5 = reduce_mod_p(spread_out(job.spec), 5)
+        direct = tau_pair_divisor(spec_5.ring, spec_5.delta, spec_5.a,
+                                  spec_5.lam, 3)
+        names = spec_5.ring.var_names
+        assert tau["generators"] == [g.to_string(names)
+                                     for g in direct.ideal.gens]
+
+    def test_pinned_refused_prime_raises(self):
+        with pytest.raises(CertifyError, match=r"\(3\)"):
+            run_job(self.tau_job(prime=3))
 
 
 class TestCertifyGsfr:

@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsing.polycore import (
+    GREVLEX,
+    LEX,
     DomainError,
     ParseError,
     Polynomial,
     RATIONALS,
+    elimination_order,
     parse_polynomial,
     poly_arith,
     poly_power,
@@ -182,3 +185,56 @@ class TestRingAxioms:
     @settings(max_examples=60, deadline=None)
     def test_parse_print_roundtrip(self, f):
         assert parse_polynomial(f.to_string(XY), XY, RATIONALS) == f
+
+
+class TestParserShortcut:
+    def test_non_ascii_digit_is_a_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            P("x^²")
+        assert err.value.position == 2
+
+    @pytest.mark.parametrize("text, expected", [
+        ("(x + y)^3", "x^3 + 3*x^2*y + 3*x*y^2 + y^3"),
+        ("2^3*x", "8*x"),
+        ("x^0", "1"),
+        ("x^1*y^0", "x"),
+    ])
+    def test_powers_keep_their_values(self, text, expected):
+        assert P(text) == P(expected)
+
+    @given(st.dictionaries(st.tuples(st.integers(0, 120), st.integers(0, 120)),
+                           coeff_q, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_with_large_exponents(self, terms):
+        f = Polynomial(RATIONALS, 2, terms)
+        assert parse_polynomial(f.to_string(XY), XY, RATIONALS) == f
+
+
+mono3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+# the last order equals the third without being the same object
+ORDERS = [GREVLEX, LEX, elimination_order(1), elimination_order(2),
+          elimination_order(1)]
+
+
+class TestLeadingMonomialCache:
+    @given(st.sampled_from([None, 2, 5, 7]),
+           st.lists(st.tuples(mono3, st.integers(-5, 5)), min_size=1,
+                    max_size=6),
+           st.lists(st.sampled_from(range(len(ORDERS))), min_size=1,
+                    max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_interleaved_orders_match_max(self, p, terms, picks):
+        dom = RATIONALS if p is None else prime_field(p)
+        f = Polynomial(dom, 3, terms)
+        if f.is_zero():
+            return
+        g = Polynomial(dom, 3, [(m[::-1], c + 1) for m, c in terms])
+        derived = [f, f.monic(ORDERS[picks[0]]), f * g]
+        if p is not None:
+            derived.append(f.frobenius_power(p))
+        for k in picks:
+            order = ORDERS[k]
+            for h in derived:
+                if h:
+                    assert h.leading_monomial(order) == \
+                        max(h.terms, key=order.key)
