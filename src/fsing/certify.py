@@ -43,7 +43,7 @@ from .triples import (
     polynomial_ring,
     quotient_ring,
 )
-from .verify import GSFR_TAG
+from .verify import GSFR_TAG, verify_witness_data
 
 CERT_VERSION = "cert_v1"
 
@@ -166,24 +166,20 @@ def _witness_verification(ring: RingPresentation, spec: TripleSpec,
     return out
 
 
-def _reverify(verification: dict) -> bool:
-    """Emission-time soundness gate; the same check fsing.verify re-runs."""
-    from .verify import verify_witness_data
-
-    return verify_witness_data(verification)
-
-
 def _emit(conclusion: str, tag: str, prime, witness: FPurityWitness | None,
           spec_p: TripleSpec | None, spec: TripleSpec, assumptions,
           primes_tried, details=None, escape_indices=None) -> Certificate:
     ver = None
     exponent = None
     element = None
-    if witness is not None:
+    if witness is None:
+        conclusion = "inconclusive"     # a positive conclusion needs a witness
+    else:
         assert spec_p is not None
         ver = _witness_verification(spec_p.ring, spec_p, witness,
                                     escape_indices)
-        if not _reverify(ver):
+        # emission-time soundness gate: the check fsing.verify re-runs
+        if not verify_witness_data(ver):
             raise CertifyError("soundness gate: witness failed re-verification")
         exponent = witness.e
         element = witness.product.to_string(spec_p.ring.var_names)
@@ -213,29 +209,32 @@ def _qgor_machine_checked(spec: TripleSpec) -> bool:
     return len(spec.ring.relations.gens) <= 1
 
 
-def _sweep_primes(job: JobSpec, kind: str, conclusion: str, assumptions,
-                  attempt) -> Certificate:
-    """The single-prime transfer argument for a Q-defined job.
+def _sweep_primes(job: JobSpec, check_index: bool, attempt):
+    """Pick the prime of the single-prime argument: the one rule for every
+    mode that reduces at a prime.
 
-    Spread out, then try the pinned prime or the smallest good primes in
-    turn.  A prime dividing an index denominator is refused; a degenerate
-    reduction or an exhausted budget (a fresh ``job.budget()`` per prime)
-    moves on to the next prime.  ``attempt(spec_p, p, budget)`` returns
-    (status, witness or None); the first witness is emitted as
-    ``conclusion``, and no witness at any prime gives inconclusive.
+    An F_p input is tried at its own prime, as given.  A Q input is spread
+    out, then the pinned prime or the smallest good primes are tried in
+    turn.  With ``check_index``, a prime dividing an index denominator is
+    refused; a degenerate reduction or an exhausted budget (a fresh
+    ``job.budget()`` per prime) moves on to the next prime.
+    ``attempt(spec_p, p, budget)`` returns (status, result or None), and
+    the first result ends the sweep.  Returns (p, spec_p, result, tried);
+    p, spec_p and result are None when no prime gave a result.
     """
     if job.spec.ring.domain.characteristic != 0:
-        raise CertifyError(f"{kind} mode expects a Q-defined input")
-    model = spread_out(job.spec)
-    plan = [job.prime] if job.prime is not None else suggest_primes(model)
+        model, plan = None, [job.spec.ring.domain.p]
+    else:
+        model = spread_out(job.spec)
+        plan = [job.prime] if job.prime is not None else suggest_primes(model)
     tried = []
     for p in plan:
-        if job.spec.index_denominator() % p == 0:
+        if check_index and job.spec.index_denominator() % p == 0:
             tried.append({"prime": p, "status": "rejected_index_divisible"})
             continue
         try:
-            spec_p = reduce_mod_p(model, p)
-            status, witness = attempt(spec_p, p, job.budget())
+            spec_p = job.spec if model is None else reduce_mod_p(model, p)
+            status, result = attempt(spec_p, p, job.budget())
         except ReductionError as exc:
             tried.append({"prime": p, "status": f"degenerate: {exc}"})
             continue
@@ -243,15 +242,15 @@ def _sweep_primes(job: JobSpec, kind: str, conclusion: str, assumptions,
             tried.append({"prime": p, "status": "budget_exceeded"})
             continue
         tried.append({"prime": p, "status": status})
-        if witness is not None:
-            return _emit(conclusion, THEOREM_TAGS[kind], p, witness, spec_p,
-                         job.spec, assumptions, tried)
-    return _emit("inconclusive", THEOREM_TAGS[kind], None, None, None,
-                 job.spec, assumptions, tried)
+        if result is not None:
+            return p, spec_p, result, tried
+    return None, None, None, tried
 
 
 def certify_log_canonical(job: JobSpec) -> Certificate:
     """Spread out, reduce at one good prime, test sharp F-purity, certify."""
+    if job.spec.ring.domain.characteristic != 0:
+        raise CertifyError("lc mode expects a Q-defined input")
 
     def attempt(spec_p, p, budget):
         for e in range(1, job.e_max + 1):
@@ -261,7 +260,9 @@ def certify_log_canonical(job: JobSpec) -> Certificate:
         return f"no splitting found for e <= {job.e_max}", None
 
     assumptions = _base_assumptions(job, _qgor_machine_checked(job.spec))
-    return _sweep_primes(job, "lc", "log_canonical", assumptions, attempt)
+    p, spec_p, witness, tried = _sweep_primes(job, True, attempt)
+    return _emit("log_canonical", THEOREM_TAGS["lc"], p, witness, spec_p,
+                 job.spec, assumptions, tried)
 
 
 def certify_klt(job: JobSpec) -> Certificate:
@@ -273,30 +274,28 @@ def certify_klt(job: JobSpec) -> Certificate:
     assumptions = _base_assumptions(job, _qgor_machine_checked(job.spec))
     assumptions.append("test element vanishes on the non-regular locus "
                        "(user-asserted)")
-
-    if job.spec.ring.domain.characteristic != 0:
-        # F_p-native: certify strong F-regularity directly
-        p = job.spec.ring.domain.p
-        result = strongly_fregular(job.spec, job.test_element, job.e_max,
-                                   job.budget())
-        tried = [{"prime": p, "status": result.status}]
-        if result.certified:
-            return _emit("strongly_F_regular", THEOREM_TAGS["sfr"], p,
-                         result.witness, job.spec, job.spec, assumptions, tried)
-        return _emit("inconclusive", THEOREM_TAGS["sfr"], p, None, None,
-                     job.spec, assumptions, tried)
+    fp_native = job.spec.ring.domain.characteristic != 0
+    if not fp_native:
+        cleared, cprimes = clear_denominators(job.test_element)
 
     def attempt(spec_p, p, budget):
-        cleared, cprimes = clear_denominators(job.test_element)
-        if p in cprimes:
+        if fp_native:
+            c_p = job.test_element
+        elif p in cprimes:
             return "test element denominator", None
-        c_p = _reduce_poly(cleared, p)
+        else:
+            c_p = _reduce_poly(cleared, p)
         if spec_p.ring.relations.contains(c_p):
             raise ReductionError(f"test element vanishes mod {p}")
         result = strongly_fregular(spec_p, c_p, job.e_max, budget)
         return result.status, result.witness
 
-    return _sweep_primes(job, "klt", "klt", assumptions, attempt)
+    kind, conclusion = (("sfr", "strongly_F_regular") if fp_native
+                        else ("klt", "klt"))
+    p, spec_p, witness, tried = _sweep_primes(job, not fp_native, attempt)
+    # an F_p input keeps its own prime, certified or not
+    return _emit(conclusion, THEOREM_TAGS[kind], job.spec.ring.domain.p or p,
+                 witness, spec_p, job.spec, assumptions, tried)
 
 
 def certify_gsfr(job: JobSpec) -> Certificate:
@@ -394,15 +393,21 @@ def verify_deformation_sfr(ring: RingPresentation, h: Polynomial,
 # Job parsing and the corpus runner.
 
 
+def _required(data: dict, key: str):
+    if key not in data:
+        raise CertifyError(f"input is missing the required key {key!r}")
+    return data[key]
+
+
 def parse_input(data: dict) -> TripleSpec:
     """Build a TripleSpec from the JSON input schema."""
-    names = list(data["variables"])
+    names = list(_required(data, "variables"))
     base_names = list(data.get("base_variables", []))
     coeff = data.get("coefficient", "Q")
     if coeff == "Q":
         dom = RATIONALS
     elif coeff == "Fp":
-        dom = prime_field(int(data["p"]))
+        dom = prime_field(int(_required(data, "p")))
     else:
         raise CertifyError(f"unknown coefficient domain {coeff!r}")
     base_vars = tuple(names.index(b) for b in base_names)
@@ -413,8 +418,8 @@ def parse_input(data: dict) -> TripleSpec:
         ring = polynomial_ring(names, dom, base_vars)
     comps = []
     for item in data.get("delta", []):
-        comps.append((parse_polynomial(item["g"], names, dom),
-                      Fraction(item["c"])))
+        comps.append((parse_polynomial(_required(item, "g"), names, dom),
+                      Fraction(_required(item, "c"))))
     a_gens = [parse_polynomial(s, names, dom) for s in data.get("a", [])]
     a = Ideal(dom, len(names), a_gens) if a_gens else None
     lam = Fraction(data.get("lambda", "1"))
@@ -447,21 +452,6 @@ def parse_job(data: dict, mode: str | None = None, **overrides) -> JobSpec:
     return job
 
 
-def _at_one_prime(job: JobSpec, check_index: bool) -> TripleSpec:
-    """The job's triple over F_p: an F_p input as given, a Q input reduced
-    at the pinned prime or else at the first suggested one that the index
-    check (when asked for) does not refuse."""
-    if job.spec.ring.domain.characteristic != 0:
-        return job.spec
-    model = spread_out(job.spec)
-    plan = [job.prime] if job.prime else suggest_primes(model)
-    for p in plan:
-        if not check_index or job.spec.index_denominator() % p != 0:
-            return reduce_mod_p(model, p)
-    raise CertifyError(f"every prime tried ({', '.join(map(str, plan))}) "
-                       "divides the index denominators")
-
-
 def run_job(job: JobSpec) -> dict:
     """Dispatch one job; returns a JSON-ready result record."""
     if job.mode == "lc":
@@ -487,31 +477,41 @@ def run_job(job: JobSpec) -> dict:
             raise CertifyError("fpt mode needs a divisor component or ideal")
         # nu(f, e) does not involve the divisor coefficient, so no prime is
         # refused for dividing an index denominator
-        spec_p = _at_one_prime(job, check_index=False)
-        f = spec_p.delta.components[0][0] if spec_p.delta.components \
-            else spec_p.a.gens[0]
-        names = spec_p.ring.var_names
-        values = []
-        for e in range(1, job.e_max + 1):
-            nu = nu_value(f, e)
-            values.append({"e": e, "nu": nu,
-                           "fpt_lower_bound": _frac_str(
-                               Fraction(nu, spec_p.ring.domain.p ** e))})
-        return {"fpt": {"f": f.to_string(names),
-                        "p": spec_p.ring.domain.p, "values": values}}
-    if job.mode == "tau":
-        spec_p = _at_one_prime(job, check_index=True)
-        result = tau_pair_divisor(spec_p.ring, spec_p.delta, spec_p.a,
-                                  spec_p.lam, job.n_max, job.budget())
-        names = spec_p.ring.var_names
-        return {"tau": {
-            "p": spec_p.ring.domain.p,
-            "generators": [g.to_string(names) for g in result.ideal.gens],
-            "truncation_level": result.truncation_level,
-            "stabilized": result.stabilized,
-            "stabilization_level": result.stabilization_level,
-        }}
-    raise CertifyError(f"unknown mode {job.mode!r}")
+        check_index = False
+
+        def attempt(spec_p, p, budget):
+            f = spec_p.delta.components[0][0] if spec_p.delta.components \
+                else spec_p.a.gens[0]
+            values = []
+            for e in range(1, job.e_max + 1):
+                nu = nu_value(f, e)
+                values.append({"e": e, "nu": nu, "fpt_lower_bound":
+                               _frac_str(Fraction(nu, p ** e))})
+            return "computed", {"f": f.to_string(spec_p.ring.var_names),
+                                "p": p, "values": values}
+    elif job.mode == "tau":
+        check_index = True
+
+        def attempt(spec_p, p, budget):
+            result = tau_pair_divisor(spec_p.ring, spec_p.delta, spec_p.a,
+                                      spec_p.lam, job.n_max, budget)
+            names = spec_p.ring.var_names
+            return "computed", {
+                "p": p,
+                "generators": [g.to_string(names) for g in result.ideal.gens],
+                "truncation_level": result.truncation_level,
+                "stabilized": result.stabilized,
+                "stabilization_level": result.stabilization_level,
+            }
+    else:
+        raise CertifyError(f"unknown mode {job.mode!r}")
+    _, _, result, tried = _sweep_primes(job, check_index, attempt)
+    if result is None:
+        primes = ", ".join(str(t["prime"]) for t in tried)
+        statuses = "; ".join(f"{t['prime']}: {t['status']}" for t in tried)
+        raise CertifyError(f"no result at any prime tried ({primes}): "
+                           f"{statuses}")
+    return {job.mode: result}
 
 
 def _matches(expected, got) -> bool:

@@ -15,6 +15,9 @@ import json
 import sys
 
 from .certify import CertifyError, parse_job, run_corpus, run_job
+from .polycore import PolyError
+from .testideals import TestIdealError
+from .triples import PresentationError
 
 MODES = ("lc", "klt", "sfr", "gsfr", "deform", "fpt", "tau", "corpus")
 
@@ -72,7 +75,8 @@ def main(argv=None) -> int:
         if args.test_element is not None:
             job.test_element = job.spec.ring.parse(args.test_element)
         result = run_job(job)
-    except (CertifyError, OSError, ValueError) as exc:
+    except (CertifyError, OSError, ValueError, PolyError, PresentationError,
+            TestIdealError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -561,16 +561,30 @@ _DIGITS = frozenset("0123456789")
 
 
 class _Tokenizer:
+    """Lexes lazily, one token at a time, with a one-token lookahead: a
+    lexing error surfaces only when the parser reaches that token."""
+
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._ahead = None
 
     def peek(self):
+        if self._ahead is None:
+            self._ahead = self._lex()
+        return self._ahead
+
+    def next(self):
+        kind, value, pos = self.peek()
+        self._ahead = None
+        self.pos = pos + len(value)
+        return kind, value, pos
+
+    def _lex(self):
         t = self.text
         i = self.pos
         while i < len(t) and t[i].isspace():
             i += 1
-        self.pos = i
         if i >= len(t):
             return ("end", "", i)
         ch = t[i]
@@ -587,11 +601,6 @@ class _Tokenizer:
         if ch in "+-*/^()":
             return (ch, ch, i)
         raise ParseError(f"unexpected character {ch!r}", i)
-
-    def next(self):
-        kind, value, pos = self.peek()
-        self.pos = pos + len(value)
-        return kind, value, pos
 
 
 def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynomial:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd
 
 from .groebner import Budget, Ideal, buchberger, ideal_power, ideal_product
@@ -45,14 +46,6 @@ class PLinearMap:
         if self.multiplier.domain.characteristic != self.power.p:
             raise DomainError("multiplier characteristic mismatch")
 
-    def iterated_multiplier(self, i: int) -> Polynomial:
-        """u^{(i)} = u^{1+q+...+q^{i-1}}, computed by u^{(i)} = u^{(i-1)}^q * u."""
-        u = self.multiplier
-        acc = Polynomial.constant(u.domain, u.nvars, 1)
-        for _ in range(i):
-            acc = acc.frobenius_power(self.power.q) * u
-        return acc
-
 
 @dataclass(frozen=True)
 class TauResult:
@@ -73,28 +66,49 @@ def _interreduce(gens, budget=None) -> Ideal:
     return Ideal(dom, nvars, buchberger(gens, budget=budget))
 
 
-def _power_with_cache(a: Ideal, n: int, cache: dict) -> Ideal:
-    if n not in cache:
-        if "base" not in cache:
-            # power the reduced basis: same ideal, smaller generators
-            gb = a.groebner_basis()
-            cache["base"] = Ideal(a.domain, a.nvars, gb) if gb else a
-        cache[n] = ideal_power(cache["base"], n)
-    return cache[n]
+def _summands(gamma: PLinearMap, I: Ideal, pairs, fiber_indices=None):
+    """The summands S_0, S_1, ... of the Frobenius sum of (gamma, I) and
+    the mixed ideal prod a_j^{lam_j}, for ``pairs = ((a_j, lam_j), ...)``.
 
-
-def _tau_summand(gamma: PLinearMap, I: Ideal, a: Ideal, lam: Fraction, i: int,
-                 apow_cache: dict, fiber_indices=None) -> Ideal:
-    """frobenius_root(u^{(i)} a^{ceil(q^i lam)} I, q^i), relative if asked."""
+    S_i is the root at q^i (in the fiber variables only, if given) of
+    u^{(i)} * prod a_j^{ceil(q^i lam_j)} * I.  Powers are taken of each
+    a_j's reduced basis (same ideal, smaller generators), computed once;
+    u^{(i)} = (u^{(i-1)})^q * u is built only when S_i is asked for.
+    """
     q = gamma.power.q
-    n_a = ceil_frac(Fraction(lam) * q ** i)
-    J = ideal_product(_power_with_cache(a, n_a, apow_cache), I)
-    ui = gamma.iterated_multiplier(i)
-    J = Ideal(J.domain, J.nvars, [ui * g for g in J.gens])
-    if i == 0:
-        return J
-    level_power = FrobeniusPower(gamma.power.p, gamma.power.e * i)
-    return frobenius_root(J, level_power, fiber_indices)
+    bases = []
+    for a, _ in pairs:
+        gb = a.groebner_basis()
+        bases.append(Ideal(a.domain, a.nvars, gb) if gb else a)
+    powers = [{} for _ in pairs]
+    u = gamma.multiplier
+    ui = Polynomial.constant(u.domain, u.nvars, 1)
+    for i in count():
+        J = I
+        for base, (_, lam), cache in zip(bases, pairs, powers):
+            n = ceil_frac(Fraction(lam) * q ** i)
+            if n not in cache:
+                cache[n] = ideal_power(base, n)
+            J = ideal_product(cache[n], J)
+        J = Ideal(J.domain, J.nvars, [ui * g for g in J.gens])
+        if i:
+            J = frobenius_root(J, FrobeniusPower(gamma.power.p,
+                                                 gamma.power.e * i),
+                               fiber_indices)
+        yield J
+        ui = ui.frobenius_power(q) * u
+
+
+def _level_sum(gamma: PLinearMap, I: Ideal, pairs, n: int, base=(),
+               fiber_indices=None, budget: Budget | None = None) -> Ideal:
+    """S_0 + ... + S_n with S_i pushed to level n (base exponents scaled
+    by q^{n-i}; nothing moves without base variables), interreduced once."""
+    gens = []
+    for i, summand in enumerate(islice(_summands(gamma, I, pairs,
+                                                 fiber_indices), n + 1)):
+        gens.extend(embed_ideal_to_level(summand, base, gamma.power,
+                                         n - i).gens)
+    return _interreduce(gens, budget)
 
 
 def tau_absolute(gamma: PLinearMap, I: Ideal, a: Ideal, lam,
@@ -110,26 +124,23 @@ def tau_absolute(gamma: PLinearMap, I: Ideal, a: Ideal, lam,
         raise TestIdealError("lambda must be positive")
     if I.is_zero() or a.is_zero():
         raise TestIdealError("I and a must be nonzero")
-    apow: dict = {}
-    partial = _interreduce(list(_tau_summand(gamma, I, a, lam, 0, apow).gens),
-                           budget)
-    history = [partial]
+    summands = _summands(gamma, I, ((a, lam),))
+    partial = _interreduce(list(next(summands).gens), budget)
     stabilization_level = None
     for i in range(1, n_max + 1):
-        summand = _tau_summand(gamma, I, a, lam, i, apow)
+        summand = next(summands)
         if all(partial.contains(g, budget) for g in summand.gens):
             nxt = partial
         else:
             nxt = _interreduce(list(partial.gens) + list(summand.gens), budget)
-        history.append(nxt)
         if stabilization_level is None and nxt.equals(partial, budget):
             stabilization_level = i
         partial = nxt
     stabilized = False
-    if stabilization_level is not None and stabilization_level <= n_max:
+    if stabilization_level is not None:
         # re-verify: adding the next summand does not change the ideal
-        extra = _tau_summand(gamma, I, a, lam, n_max + 1, apow)
-        stabilized = all(partial.contains(g, budget) for g in extra.gens)
+        stabilized = all(partial.contains(g, budget)
+                         for g in next(summands).gens)
         if not stabilized:
             stabilization_level = None
     return TauResult(partial, n_max, stabilized, stabilization_level)
@@ -242,17 +253,8 @@ def tau_relative(setup: RelativeSetup, n: int,
     """
     if n < 0:
         raise TestIdealError("level must be >= 0")
-    base = setup.ring.base_vars
-    fiber = setup.fiber_indices
-    power = setup.phi.power
-    apow: dict = {}
-    gens = []
-    for i in range(n + 1):
-        summand = _tau_summand(setup.phi, setup.I, setup.a, setup.lam, i,
-                               apow, fiber_indices=fiber)
-        lifted = embed_ideal_to_level(summand, base, power, n - i)
-        gens.extend(lifted.gens)
-    ideal = _interreduce(gens, budget)
+    ideal = _level_sum(setup.phi, setup.I, ((setup.a, setup.lam),), n,
+                       setup.ring.base_vars, setup.fiber_indices, budget)
     return TauResult(ideal, n, False, None,
                      "proposition" if setup.skoda_guaranteed() else "none")
 
@@ -398,29 +400,6 @@ class SumDecompositionReport:
     note: str = ""
 
 
-def _tau_multi(R: RingPresentation, delta: DivisorData, pairs, n_max: int,
-               budget: Budget | None = None) -> Ideal:
-    """tau(X, Delta, prod a_j^{lam_j}) via the multiplier construction."""
-    power, u, I = pair_multiplier(R, delta)
-    gamma = PLinearMap(power, u)
-    q = gamma.power.q
-    apows: list = [dict() for _ in pairs]
-    gens = []
-    partial = None
-    for i in range(n_max + 1):
-        J = I
-        for (aj, lj), cache in zip(pairs, apows):
-            J = ideal_product(J, _power_with_cache(aj, ceil_frac(Fraction(lj) * q ** i), cache))
-        ui = gamma.iterated_multiplier(i)
-        J = Ideal(J.domain, J.nvars, [ui * g for g in J.gens])
-        if i:
-            J = frobenius_root(J, FrobeniusPower(power.p, power.e * i))
-        gens.extend(J.gens)
-        partial = _interreduce(gens, budget)
-        gens = list(partial.gens)
-    return partial
-
-
 def sum_decomposition_check(R: RingPresentation, delta: DivisorData,
                             a_list, lambda_list, sample_budget: int,
                             n_max: int = 4,
@@ -435,7 +414,9 @@ def sum_decomposition_check(R: RingPresentation, delta: DivisorData,
     """
     p = R.domain.characteristic
     pairs = list(zip(a_list, [Fraction(x) for x in lambda_list]))
-    tau_triple = _tau_multi(R, delta, pairs, n_max, budget)
+    power, u, I = pair_multiplier(R, delta)
+    tau_triple = _level_sum(PLinearMap(power, u), I, pairs, n_max,
+                            budget=budget)
 
     sampled_gens = []
     samples = 0

@@ -18,6 +18,8 @@ from fsing.certify import (
     run_job,
     verify_deformation_sfr,
 )
+from fsing.cli import main
+from fsing.fcriteria import nu_value
 from fsing.polycore import prime_field
 from fsing.testideals import tau_pair_divisor
 from fsing.triples import quotient_ring
@@ -148,6 +150,19 @@ class TestCertifyKlt:
         assert cert.conclusion == "klt" and cert.prime == 5
         assert verify_witness_data(cert.verification)
 
+    def test_fp_native_budget_exhaustion_is_inconclusive(self):
+        # the budget runs out at the input's own prime: reported per cause,
+        # not raised
+        job = parse_job({
+            "variables": ["x", "y", "z"], "coefficient": "Fp", "p": 5,
+            "relations": ["x^2 + y^2 + z^2"], "test_element": "x",
+            "gb_budget": 5,
+        }, "klt")
+        cert = run_job(job)["certificate"]
+        assert cert["conclusion"] == "inconclusive" and cert["prime"] == 5
+        assert cert["primes_tried"] == [{"prime": 5,
+                                         "status": "budget_exceeded"}]
+
     def test_missing_test_element(self):
         job = parse_job({
             "variables": ["x", "y"], "coefficient": "Q", "prime": 5,
@@ -188,6 +203,32 @@ class TestRunJobTau:
     def test_pinned_refused_prime_raises(self):
         with pytest.raises(CertifyError, match=r"\(3\)"):
             run_job(self.tau_job(prime=3))
+
+    def test_unpinned_moves_past_degenerate_prime(self):
+        # 2 divides the index denominator and the divisor vanishes mod 3
+        job = self.tau_job(delta=[{"g": "3*x^2 + 3*y^3", "c": "1/2"}])
+        tau = run_job(job)["tau"]
+        assert tau["p"] == 5
+        spec_5 = reduce_mod_p(spread_out(job.spec), 5)
+        direct = tau_pair_divisor(spec_5.ring, spec_5.delta, spec_5.a,
+                                  spec_5.lam, 3)
+        names = spec_5.ring.var_names
+        assert tau["generators"] == [g.to_string(names)
+                                     for g in direct.ideal.gens]
+
+
+class TestRunJobFpt:
+    def test_unpinned_moves_past_degenerate_prime(self):
+        # the divisor vanishes mod 2; fpt refuses no prime for the index
+        job = parse_job({
+            "variables": ["x", "y"], "coefficient": "Q", "e_max": 2,
+            "delta": [{"g": "2*x^2 + 2*y^3", "c": "1"}],
+        }, "fpt")
+        fpt = run_job(job)["fpt"]
+        assert fpt["p"] == 3
+        f_3 = reduce_mod_p(spread_out(job.spec), 3).delta.components[0][0]
+        assert [v["nu"] for v in fpt["values"]] == [nu_value(f_3, 1),
+                                                    nu_value(f_3, 2)]
 
 
 class TestCertifyGsfr:
@@ -358,6 +399,41 @@ class TestCorpusRunner:
 
 
 class TestCLI:
+    def run_main(self, tmp_path, mode, data, *args):
+        inp = tmp_path / "job.json"
+        inp.write_text(json.dumps(data))
+        return main([mode, "--input", str(inp), *args])
+
+    @pytest.mark.parametrize("data, message", [
+        ({"variables": ["x", "y"], "coefficient": "Q",
+          "delta": [{"g": "x^2 + 2y", "c": "1"}]}, "position 7"),
+        ({"variables": ["x", "y"], "coefficient": "Q",
+          "relations": ["x + 1"]}, "vanish at the distinguished point"),
+        ({"coefficient": "Q", "relations": ["x + 1"]}, "'variables'"),
+    ], ids=["parse-error", "presentation-error", "missing-variables"])
+    def test_bad_input_exits_2(self, tmp_path, capsys, data, message):
+        assert self.run_main(tmp_path, "lc", data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_tau_at_refused_fp_prime_exits_2(self, tmp_path, capsys):
+        data = {"variables": ["x", "y"], "coefficient": "Fp", "p": 3,
+                "delta": [{"g": "x^2 + y^3", "c": "5/6"}]}
+        assert self.run_main(tmp_path, "tau", data) == 2
+        err = capsys.readouterr().err
+        assert "(3)" in err and "rejected_index_divisible" in err
+
+    def test_fp_budget_exhaustion_exits_1(self, tmp_path):
+        data = {"variables": ["x", "y", "z"], "coefficient": "Fp", "p": 5,
+                "relations": ["x^2 + y^2 + z^2"], "test_element": "x",
+                "gb_budget": 5}
+        out = tmp_path / "cert.json"
+        assert self.run_main(tmp_path, "klt", data, "--json", str(out)) == 1
+        cert = json.loads(out.read_text())["certificate"]
+        assert cert["primes_tried"] == [{"prime": 5,
+                                         "status": "budget_exceeded"}]
+
     def test_lc_mode(self, tmp_path):
         inp = tmp_path / "job.json"
         inp.write_text(json.dumps({

@@ -193,6 +193,17 @@ class TestParserShortcut:
             P("x^²")
         assert err.value.position == 2
 
+    @pytest.mark.parametrize("text, message, position", [
+        # two errors: the first one the parser reaches is reported
+        ("x y $", "unexpected trailing token 'y'", 2),
+        ("(x $", "unexpected character '$'", 3),
+    ])
+    def test_first_error_position(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            P(text)
+        assert str(err.value).startswith(message)
+        assert err.value.position == position
+
     @pytest.mark.parametrize("text, expected", [
         ("(x + y)^3", "x^3 + 3*x^2*y + 3*x*y^2 + y^3"),
         ("2^3*x", "8*x"),

@@ -322,7 +322,7 @@ class TestSharpFPurityLink:
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 6)])
     def test_principal_pair_fixtures(self, eps):
         from fsing.fcriteria import sharply_fpure
-        from fsing.testideals import _tau_multi
+        from fsing.testideals import _level_sum, pair_multiplier
         from fsing.triples import TripleSpec, divisor
 
         fixtures = [
@@ -335,7 +335,8 @@ class TestSharpFPurityLink:
             delta = divisor([(g, c)])
             assert sharply_fpure(TripleSpec(R, delta), 1).holds
             J = R.ideal([g])  # the chosen test-element ideal for the pair
-            tau = _tau_multi(R, delta, [(J, 1 - eps)], 3)
+            power, u, I = pair_multiplier(R, delta)
+            tau = _level_sum(PLinearMap(power, u), I, [(J, 1 - eps)], 3)
             for gen in J.gens:
                 assert tau.contains(gen), (g_text, c, eps)
 
