@@ -167,8 +167,8 @@ def _witness_verification(ring: RingPresentation, spec: TripleSpec,
 
 
 def _emit(conclusion: str, tag: str, prime, witness: FPurityWitness | None,
-          spec_p: TripleSpec | None, spec: TripleSpec, assumptions,
-          primes_tried, details=None, escape_indices=None) -> Certificate:
+          spec_p: TripleSpec | None, assumptions, primes_tried,
+          details=None, escape_indices=None) -> Certificate:
     ver = None
     exponent = None
     element = None
@@ -262,7 +262,7 @@ def certify_log_canonical(job: JobSpec) -> Certificate:
     assumptions = _base_assumptions(job, _qgor_machine_checked(job.spec))
     p, spec_p, witness, tried = _sweep_primes(job, True, attempt)
     return _emit("log_canonical", THEOREM_TAGS["lc"], p, witness, spec_p,
-                 job.spec, assumptions, tried)
+                 assumptions, tried)
 
 
 def certify_klt(job: JobSpec) -> Certificate:
@@ -295,7 +295,7 @@ def certify_klt(job: JobSpec) -> Certificate:
     p, spec_p, witness, tried = _sweep_primes(job, not fp_native, attempt)
     # an F_p input keeps its own prime, certified or not
     return _emit(conclusion, THEOREM_TAGS[kind], job.spec.ring.domain.p or p,
-                 witness, spec_p, job.spec, assumptions, tried)
+                 witness, spec_p, assumptions, tried)
 
 
 def certify_gsfr(job: JobSpec) -> Certificate:
@@ -316,11 +316,11 @@ def certify_gsfr(job: JobSpec) -> Certificate:
     tried = [{"prime": p, "status": result.status, "level": job.level}]
     if result.certified:
         return _emit("geometrically_strongly_F_regular", THEOREM_TAGS["gsfr"],
-                     p, result.witness, model, job.spec, assumptions, tried,
+                     p, result.witness, model, assumptions, tried,
                      details={"level": job.level},
                      escape_indices=job.spec.ring.fiber_vars)
     return _emit("inconclusive", THEOREM_TAGS["gsfr"], p, None, None,
-                 job.spec, assumptions, tried, details={"level": job.level})
+                 assumptions, tried, details={"level": job.level})
 
 
 @dataclass
@@ -367,8 +367,7 @@ def verify_deformation_sfr(ring: RingPresentation, h: Polynomial,
     p = dom.p
     if slice_result.certified and total_result.certified:
         cert = _emit("deformation_consistent", THEOREM_TAGS["deform"], p,
-                     total_result.witness, total_spec, total_spec,
-                     assumptions,
+                     total_result.witness, total_spec, assumptions,
                      [{"prime": p,
                        "status": f"slice certified at e={slice_result.e}, "
                                  f"total at e={total_result.e}"}],
@@ -383,7 +382,7 @@ def verify_deformation_sfr(ring: RingPresentation, h: Polynomial,
         if not total_result.certified:
             failed.append("total space inconclusive")
         cert = _emit("inconclusive", THEOREM_TAGS["deform"], p, None, None,
-                     total_spec, assumptions,
+                     assumptions,
                      [{"prime": p, "status": "; ".join(failed)}],
                      details={"theorem_violation_candidate": violation})
     return DeformationReport(slice_result, total_result, cert, violation)

@@ -1,9 +1,21 @@
 """Groebner-basis kernel: reduction, Buchberger, membership, colon, intersection.
 
+Inside the kernel every monomial is one int in the packed encoding of
+``polycore.Packing``: a product is an addition, divisibility a mask test and
+the order a comparison of linear keys.  ``divide`` packs its dividend, and
+each divisor's packed data (leading monomial, inverse leading coefficient,
+tail) is cached on the divisor (``Polynomial.packed``).  ``buchberger``
+keeps its whole working basis packed, builds S-polynomials and monic
+remainders in packed form, and unpacks only the reduced basis it returns,
+whose members carry their packed data.  The field width fits the inputs'
+degrees (at least 15 bits); a sum that overflows a field sets its guard bit,
+and the call is redone with doubled width from the budget it started with,
+so results and step counts never depend on the width.
+
 Buchberger runs with the sugar selection strategy and both classical pair
 criteria (coprime leading monomials, chain criterion), with a deterministic
 pair order so outputs are reproducible: pairs wait in a heap of distinct
-(sugar, order key of the lcm, i, j) tuples.  A reduction-step budget guards
+(sugar, -key of the lcm, i, j) tuples.  A reduction-step budget guards
 against runaway computations; exceeding it raises BudgetExceededError.
 """
 
@@ -11,18 +23,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .polycore import (
     GREVLEX,
     DomainError,
     MonomialOrder,
+    Packing,
+    PackingOverflow,
     PolyError,
     Polynomial,
     elimination_order,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
 )
 
 DEFAULT_GB_BUDGET = 10**7
@@ -48,76 +59,144 @@ def _ensure_budget(budget: Budget | None) -> Budget:
     return budget if budget is not None else Budget()
 
 
+# Smallest packed field width; the kernel widens it for inputs of larger
+# degree, and doubles it whenever a computation overflows it.
+_MIN_WIDTH = 15
+
+
+def _widening(budget: Budget, width: int, attempt):
+    """attempt(width), re-run with doubled width after a packing overflow;
+    each re-run starts from the same budget, so step counts do not depend
+    on the width."""
+    used = budget.used
+    while True:
+        try:
+            return attempt(width)
+        except PackingOverflow:
+            budget.used = used
+            width *= 2
+
+
+def _width(degree: int) -> int:
+    """The field width for inputs of at most this total degree."""
+    return max(_MIN_WIDTH, degree.bit_length())
+
+
 def divide(f: Polynomial, divisors, order: MonomialOrder = GREVLEX,
            budget: Budget | None = None, with_quotients: bool = False):
     """Multivariate division: f = sum q_i g_i + r with no term of r
     divisible by any lm(g_i).  Returns r, or (quotients, r).
-
-    Leading terms are tracked with a lazy-deletion min-heap on heap keys;
-    stale entries are skipped on pop.
     """
     budget = _ensure_budget(budget)
     dom = f.domain
-    nvars = f.nvars
     divs = [g for g in divisors if g]
-    lms = [g.leading_monomial(order) for g in divs]
-    inv_lcs = [dom.inv(g.terms[m]) for g, m in zip(divs, lms)]
-    quotients = [dict() for _ in divs] if with_quotients else None
-    rem: dict = {}
-    work = dict(f.terms)
-    hkey = order.heap_key
-    heap = [(hkey(m), m) for m in work]
-    heapq.heapify(heap)
-    push = heapq.heappush
-    pop = heapq.heappop
-    while heap:
-        _, lm = pop(heap)
-        if lm not in work:
-            continue
-        budget.tick()
-        lc = work.pop(lm)
-        for i, gm in enumerate(lms):
-            if mono_divides(gm, lm):
-                factor_m = mono_div(lm, gm)
-                factor_c = dom.mul(lc, inv_lcs[i])
-                if with_quotients:
-                    q = quotients[i]
-                    q[factor_m] = dom.add(q.get(factor_m, dom.zero()), factor_c)
-                g = divs[i]
-                for m2, c2 in g.terms.items():
-                    if m2 == gm:
-                        continue
-                    m = mono_mul(factor_m, m2)
-                    if m in work:
-                        s = dom.sub(work[m], dom.mul(factor_c, c2))
-                        if s == 0:
-                            del work[m]
-                        else:
-                            work[m] = s
-                    else:
-                        s = dom.neg(dom.mul(factor_c, c2))
-                        if s != 0:
-                            work[m] = s
-                            push(heap, (hkey(m), m))
-                break
-        else:
-            rem[lm] = lc
-    r = Polynomial(dom, nvars, rem, _clean=True)
+
+    def attempt(width):
+        packing = order.packing(f.nvars, width)
+        data = [g.packed(packing) for g in divs]
+        pack = packing.pack
+        work = {pack(m): c for m, c in f.terms.items()}
+        quotients = [{} for _ in divs] if with_quotients else None
+        rem = _reduce(work, data, packing, dom, budget, quotients)
+        return packing, rem, quotients
+
+    packing, rem, quotients = _widening(budget, _width(f.total_degree()),
+                                          attempt)
+    r = packing.polynomial(dom, rem)
     if with_quotients:
-        qs = [Polynomial(dom, nvars, q, _clean=True) for q in quotients]
-        return qs, r
+        return [packing.polynomial(dom, q.items()) for q in quotients], r
     return r
 
 
-def _s_poly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    dom = f.domain
-    fm, gm = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = mono_lcm(fm, gm)
-    mf = Polynomial.monomial(f.domain, f.nvars, mono_div(lcm, fm),
-                             dom.inv(f.terms[fm]))
-    mg = Polynomial.monomial(g.domain, g.nvars, mono_div(lcm, gm),
-                             dom.inv(g.terms[gm]))
-    return mf * f - mg * g
+def _reduce(work: dict, divs, packing: Packing, dom, budget: Budget,
+            quotients=None) -> list:
+    """Reduce packed terms by packed divisors (see Polynomial.packed).
+
+    ``work`` maps each packed monomial to its coefficient and is consumed.
+    Returns the remainder as (monomial, coefficient) pairs from the leading
+    term down.  The live terms' keys (see Packing) sit in a lazy-deletion
+    min-heap, so they pop largest first; each live pop is one budget step.
+    ``quotients[i]`` collects the factors of divisor i by packed monomial.
+    """
+    p = dom.p
+    guard, dm = packing.guard, packing.deg_mask
+    lms = list(map(itemgetter(0), divs))
+    # heap key -> monomial; the key is packing.key, inlined
+    at = {m - ((m & dm) << 1): m for m in work}
+    heap = list(at)
+    heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
+    rem = []
+    while heap:
+        # a key pushed twice (its term cancelled, then made again) pops twice
+        m = at.pop(pop(heap), None)
+        c = None if m is None else work.pop(m, None)
+        if c is None:
+            continue
+        budget.tick()
+        mg = m | guard
+        for i, gm in enumerate(lms):
+            if (mg - gm) & guard == guard:
+                _, inv, tail = divs[i]
+                fm = m - gm
+                fc = c * inv % p if p else c * inv
+                if quotients is not None:
+                    # m - gm differs for each live m, so fm is new here
+                    quotients[i][fm] = fc
+                nfc = -fc
+                for m2, c2 in tail:
+                    m2 += fm
+                    w = work.get(m2)
+                    if w is None:
+                        if m2 & guard:
+                            raise PackingOverflow
+                        work[m2] = nfc * c2 % p if p else nfc * c2
+                        x = m2 - ((m2 & dm) << 1)
+                        at[x] = m2
+                        push(heap, x)
+                    else:
+                        s = (w + nfc * c2) % p if p else w + nfc * c2
+                        if s:
+                            work[m2] = s
+                        else:
+                            del work[m2]
+                break
+        else:
+            rem.append((m, c))
+    return rem
+
+
+def _monic(rem: list, dom):
+    """The packed divisor data of a remainder scaled to leading coefficient
+    one."""
+    p = dom.p
+    lm, lc = rem[0]
+    inv = dom.inv(lc)
+    return (lm, dom.one(),
+            [(P, c * inv % p if p else c * inv) for P, c in rem[1:]])
+
+
+def _s_poly(f, g, lcm: int, packing: Packing, p) -> dict:
+    """Work terms of the S-polynomial of two monic packed members."""
+    guard = packing.guard
+    work = {}
+    # lcm/lm(f) * f - lcm/lm(g) * g; the leading terms cancel
+    for (lm, _, tail), sign in ((f, 1), (g, -1)):
+        u = lcm - lm
+        for m2, c2 in tail:
+            m2 += u
+            w = work.get(m2)
+            if w is None:
+                if m2 & guard:
+                    raise PackingOverflow
+                work[m2] = sign * c2 % p if p else sign * c2
+            else:
+                s = (w + sign * c2) % p if p else w + sign * c2
+                if s:
+                    work[m2] = s
+                else:
+                    del work[m2]
+    return work
 
 
 def buchberger(gens, order: MonomialOrder = GREVLEX,
@@ -128,35 +207,52 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
     if not basis:
         return ()
     basis.sort(key=lambda g: (order.key(g.leading_monomial(order)), g.sort_key()))
+    nvars = basis[0].nvars
+    width = _width(max(g.total_degree() for g in basis))
+    return _widening(budget, width, lambda width: _buchberger(
+        basis, order.packing(nvars, width), budget))
 
-    lms = [g.leading_monomial(order) for g in basis]
+
+def _buchberger(basis, packing: Packing, budget: Budget):
+    """Buchberger on monic packed members; see ``buchberger``."""
+    dom = basis[0].domain
+    p, guard, pack = dom.p, packing.guard, packing.pack
+    polys = list(basis)
+    members = [g.packed(packing) for g in basis]
+    lms = [d[0] for d in members]
+    lm_tuples = [g.leading_monomial(packing.order) for g in basis]
     sugars = [g.total_degree() for g in basis]
 
     def pair_data(i, j):
-        lcm = mono_lcm(lms[i], lms[j])
-        sugar = sum(lcm) + max(sugars[i] - sum(lms[i]), sugars[j] - sum(lms[j]))
-        return (sugar, order.key(lcm), i, j)
+        a, b = lm_tuples[i], lm_tuples[j]
+        lcm = tuple(map(max, a, b))
+        packed_lcm = pack(lcm)
+        if packed_lcm & guard:
+            raise PackingOverflow
+        sugar = sum(lcm) + max(sugars[i] - sum(a), sugars[j] - sum(b))
+        # -key orders like order.key, and every (sugar, -key, i, j) is
+        # distinct, so the heap pops pairs in the order of a scan for the
+        # minimum
+        return (sugar, -packing.key(packed_lcm), i, j, packed_lcm)
 
-    # every (sugar, key, i, j) is distinct, so the heap pops pairs in the
-    # same order as a scan for the minimum would
     pairs = [pair_data(i, j)
-             for i in range(len(basis)) for j in range(i + 1, len(basis))]
+             for i in range(len(members)) for j in range(i + 1, len(members))]
     heapq.heapify(pairs)
     done = set()
 
     while pairs:
-        pair_sugar, _, i, j = heapq.heappop(pairs)
+        pair_sugar, _, i, j, lcm = heapq.heappop(pairs)
         done.add((i, j))
-        lcm = mono_lcm(lms[i], lms[j])
         # product criterion
-        if lcm == mono_mul(lms[i], lms[j]):
+        if lcm == lms[i] + lms[j]:
             continue
         # chain criterion
+        lcm_g = lcm | guard
         skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
+        for k, km in enumerate(lms):
+            if k == i or k == j:
                 continue
-            if mono_divides(lms[k], lcm):
+            if (lcm_g - km) & guard == guard:
                 a = (min(i, k), max(i, k))
                 b = (min(j, k), max(j, k))
                 if a in done and b in done:
@@ -164,40 +260,58 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
                     break
         if skip:
             continue
-        s = _s_poly(basis[i], basis[j], order)
-        r = divide(s, basis, order, budget)
-        if r:
-            r = r.monic(order)
-            new_index = len(basis)
-            new_sugar = max(pair_sugar, r.total_degree())
-            basis.append(r)
-            lms.append(r.leading_monomial(order))
-            sugars.append(new_sugar)
+        work = _s_poly(members[i], members[j], lcm, packing, p)
+        rem = _reduce(work, members, packing, dom, budget)
+        if rem:
+            new_index = len(members)
+            members.append(_monic(rem, dom))
+            lms.append(rem[0][0])
+            lm_tuples.append(packing.unpack(rem[0][0]))
+            sugars.append(max(pair_sugar,
+                              max(packing.degree(P) for P, _ in rem)))
+            polys.append(None)
             for k in range(new_index):
                 heapq.heappush(pairs, pair_data(k, new_index))
-    return _reduce_basis(basis, order, budget)
+    return _reduce_basis(members, polys, packing, dom, budget)
 
 
-def _reduce_basis(basis, order: MonomialOrder, budget: Budget):
+def _reduce_basis(members, polys, packing: Packing, dom, budget: Budget):
+    """Minimalize and tail-reduce monic packed members; ``polys[i]`` is the
+    Polynomial of member i when it is an input, else None."""
+    guard, one = packing.guard, dom.one()
     # minimalize: drop members whose lm is divisible by another lm
-    basis = [g for g in basis if g]
-    lms = [g.leading_monomial(order) for g in basis]
+    lms = [d[0] for d in members]
     keep = []
     for i, m in enumerate(lms):
-        if any(j != i and mono_divides(lms[j], m)
-               and (lms[j] != m or j < i) for j in range(len(basis))):
+        mg = m | guard
+        if any(j != i and (mg - g) & guard == guard and (g != m or j < i)
+               for j, g in enumerate(lms)):
             continue
         keep.append(i)
-    minimal = [basis[i] for i in keep]
+    minimal = [members[i] for i in keep]
     # tail-reduce each member against the others
     reduced = []
-    for i, g in enumerate(minimal):
+    for i, d in enumerate(minimal):
         others = minimal[:i] + minimal[i + 1:]
-        r = divide(g, others, order, budget) if others else g
-        if r:
-            reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return tuple(reduced)
+        if not others:
+            poly = polys[keep[i]]
+            reduced.append((d[0], poly if poly is not None
+                            else _member_polynomial(d, packing, dom)))
+            continue
+        work = dict(d[2])
+        work[d[0]] = one
+        rem = _reduce(work, others, packing, dom, budget)
+        if rem:
+            r = _monic(rem, dom)
+            reduced.append((r[0], _member_polynomial(r, packing, dom)))
+    # ascending in the order: descending in the key
+    reduced.sort(key=lambda r: -packing.key(r[0]))
+    return tuple(poly for _, poly in reduced)
+
+
+def _member_polynomial(d, packing: Packing, dom) -> Polynomial:
+    """The Polynomial of a monic packed member, its divisor data cached."""
+    return packing.polynomial(dom, [(d[0], dom.one())] + d[2], d)
 
 
 # ---------------------------------------------------------------------------

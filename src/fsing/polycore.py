@@ -8,9 +8,9 @@ names are display metadata supplied by callers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add, mul
 from typing import Iterable, Iterator, Mapping
 
 
@@ -121,32 +121,18 @@ def prime_field(p: int) -> CoefficientDomain:
 
 
 # ---------------------------------------------------------------------------
-# Monomials: plain exponent tuples with helper functions.
+# Monomials: plain exponent tuples; the Groebner kernel packs them into ints.
 
 Monomial = tuple
 
-# map() over two tuples runs these in C; they sit in the inner loops of
-# multiplication and division.
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    # map() over two tuples runs in C; this sits in the inner loop of __mul__
     return tuple(map(add, a, b))
 
 
-def mono_divides(a: Monomial, b: Monomial) -> bool:
-    return all(map(le, a, b))
-
-
-def mono_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b, assuming b divides a."""
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
-
-
-def mono_degree(a: Monomial) -> int:
-    return sum(a)
+class PackingOverflow(Exception):
+    """A packed exponent field outgrew its width (the caller re-packs wider)."""
 
 
 @dataclass(frozen=True)
@@ -160,6 +146,8 @@ class MonomialOrder:
 
     kind: str = "grevlex"
     block: int = 0
+    _packings: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def key(self, m: Monomial):
         if self.kind == "lex":
@@ -170,17 +158,25 @@ class MonomialOrder:
             return (_grevlex_key(m[: self.block]), _grevlex_key(m[self.block:]))
         raise ValueError(f"unknown order kind {self.kind!r}")
 
-    def heap_key(self, m: Monomial):
-        """A key that sorts ascending exactly when the monomial sorts
-        descending; lets min-heaps pop leading monomials cheaply."""
+    def blocks(self, nvars: int):
+        """The variable blocks, most significant first; grevlex orders
+        inside a block, and a one-variable block is compared by degree."""
         if self.kind == "lex":
-            return tuple(-e for e in m)
+            return [(i,) for i in range(nvars)]
         if self.kind == "grevlex":
-            return (-sum(m), m[::-1])
+            return [tuple(range(nvars))] if nvars else []
         if self.kind == "elim":
-            head, tail = m[: self.block], m[self.block:]
-            return (-sum(head), head[::-1], -sum(tail), tail[::-1])
+            cut = min(self.block, nvars)
+            return [b for b in (tuple(range(cut)), tuple(range(cut, nvars)))
+                    if b]
         raise ValueError(f"unknown order kind {self.kind!r}")
+
+    def packing(self, nvars: int, width: int) -> "Packing":
+        """The packed encoding of this order (made once per nvars, width)."""
+        token = (nvars, width)
+        if token not in self._packings:
+            self._packings[token] = Packing(self, nvars, width)
+        return self._packings[token]
 
     def cache_token(self):
         return (self.kind, self.block)
@@ -198,14 +194,97 @@ def elimination_order(block: int) -> MonomialOrder:
     return MonomialOrder("elim", block)
 
 
+class Packing:
+    """Monomials of one order and ring as Python ints.
+
+    Each field is ``width`` value bits under one guard bit.  Within a block
+    of the order the fields run from high to low: the block degree, then
+    e_last ... e_first; a one-variable block keeps only its degree field, so
+    lex has no separate degree field.  Earlier blocks sit higher.  Then
+
+    * the product of monomials is ``a + b``;
+    * ``g`` divides ``m`` iff ``((m | guard) - g) & guard == guard``;
+    * ``key(P) = P - ((P & deg_mask) << 1)`` is linear in the exponents and
+      sorts ascending exactly when ``order.key`` sorts descending, so a
+      min-heap of keys pops the leading monomial, ``key(a + b) == key(a) +
+      key(b)``, and ``-key`` orders like ``order.key``.
+
+    A sum whose field reaches ``2**width`` sets that field's guard bit and
+    nothing else; whoever adds monomials checks the guard and raises
+    PackingOverflow.
+    """
+
+    __slots__ = ("order", "nvars", "width", "guard", "deg_mask", "_mask",
+                 "_weights", "_shifts", "_deg_shifts")
+
+    def __init__(self, order: MonomialOrder, nvars: int, width: int):
+        step = width + 1
+        fields = []                  # (block, variable or None), high to low
+        for block in order.blocks(nvars):
+            fields.append((block, None))
+            if len(block) > 1:
+                fields.extend((block, v) for v in reversed(block))
+        weights, shifts = [0] * nvars, [0] * nvars
+        guard = deg_mask = 0
+        deg_shifts = []
+        for pos, (block, var) in enumerate(reversed(fields)):
+            shift = pos * step
+            guard |= 1 << (shift + width)
+            if var is None:
+                deg_mask |= ((1 << step) - 1) << shift
+                deg_shifts.append(shift)
+                for v in block:
+                    weights[v] += 1 << shift
+                if len(block) == 1:
+                    shifts[block[0]] = shift
+            else:
+                weights[var] += 1 << shift
+                shifts[var] = shift
+        self.order, self.nvars, self.width = order, nvars, width
+        self.guard, self.deg_mask = guard, deg_mask
+        self._mask = (1 << width) - 1
+        self._weights, self._shifts = tuple(weights), tuple(shifts)
+        self._deg_shifts = tuple(deg_shifts)
+
+    def pack(self, m: Monomial) -> int:
+        """The packed monomial; the caller ensures its degree fits."""
+        return sum(map(mul, m, self._weights))
+
+    def key(self, P: int) -> int:
+        return P - ((P & self.deg_mask) << 1)
+
+    def unpack(self, P: int) -> Monomial:
+        mask = self._mask
+        return tuple([(P >> s) & mask for s in self._shifts])
+
+    def degree(self, P: int) -> int:
+        mask = self._mask
+        return sum([(P >> s) & mask for s in self._deg_shifts])
+
+    def polynomial(self, domain: CoefficientDomain, terms,
+                   data=None) -> "Polynomial":
+        """The Polynomial of packed (monomial, coefficient) pairs listed
+        from the leading term down, keeping its leading monomial and, when
+        given, its divisor data (see Polynomial.packed)."""
+        mask, shifts = self._mask, self._shifts
+        poly = Polynomial(domain, self.nvars, {
+            tuple([(P >> s) & mask for s in shifts]): c for P, c in terms},
+            _clean=True)
+        if poly.terms:
+            poly._lm = (self.order, next(iter(poly.terms)),
+                        None if data is None else self, data)
+        return poly
+
+
 # ---------------------------------------------------------------------------
 
 
 class Polynomial:
     """Immutable sparse polynomial in a fixed number of variables.
 
-    ``_lm`` caches the last leading monomial computed, as (order, monomial);
-    the terms never change after construction, so it stays valid.
+    ``_lm`` caches the last leading monomial computed, as (order, monomial,
+    packing, divisor data); the last two are None until ``packed`` fills
+    them.  The terms never change after construction, so it stays valid.
     """
 
     __slots__ = ("domain", "nvars", "terms", "_lm")
@@ -318,9 +397,12 @@ class Polynomial:
             if c == 0:
                 return Polynomial.zero(self.domain, self.nvars)
             dom = self.domain
-            return Polynomial(dom, self.nvars,
-                              {m: dom.mul(v, c) for m, v in self.terms.items()},
-                              _clean=True)
+            res = Polynomial(dom, self.nvars,
+                             {m: dom.mul(v, c) for m, v in self.terms.items()},
+                             _clean=True)
+            if self._lm is not None:    # same support, same leading monomial
+                res._lm = (self._lm[0], self._lm[1], None, None)
+            return res
         self._check_compatible(other)
         dom = self.domain
         res: dict = {}
@@ -367,7 +449,7 @@ class Polynomial:
     # -- structure ---------------------------------------------------------
 
     def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        return max(map(sum, self.terms), default=0)
 
     def weighted_degree(self, weights) -> int:
         return max((sum(w * e for w, e in zip(weights, m)) for m in self.terms),
@@ -388,8 +470,28 @@ class Polynomial:
         if not self.terms:
             raise PolyError("zero polynomial has no leading monomial")
         lm = max(self.terms, key=order.key)
-        self._lm = (order, lm)
+        self._lm = (order, lm, None, None)
         return lm
+
+    def packed(self, packing: "Packing"):
+        """This polynomial as a divisor in ``packing``: (leading monomial,
+        inverse leading coefficient, tail), the tail listing (monomial,
+        coefficient) for every other term, monomials packed.
+
+        Cached in ``_lm`` for ``packing``.  Raises PackingOverflow when a
+        degree does not fit the field width.
+        """
+        cached = self._lm
+        if cached is not None and cached[2] is packing:
+            return cached[3]
+        lm = self.leading_monomial(packing.order)
+        if max(map(sum, self.terms)) >> packing.width:
+            raise PackingOverflow
+        pack = packing.pack
+        tail = [(pack(m), c) for m, c in self.terms.items() if m != lm]
+        data = (pack(lm), self.domain.inv(self.terms[lm]), tail)
+        self._lm = (packing.order, lm, packing, data)
+        return data
 
     def leading_coefficient(self, order: MonomialOrder = GREVLEX):
         return self.terms[self.leading_monomial(order)]
@@ -611,24 +713,28 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
     tok = _Tokenizer(text)
 
     def parse_expr() -> Polynomial:
+        # the terms accumulate in one dict: summing Polynomials would copy
+        # the partial sum once per term
+        acc: dict = {}
         kind, _, _ = tok.peek()
-        sign = 1
-        if kind in ("+", "-"):
-            tok.next()
-            sign = -1 if kind == "-" else 1
-        result = parse_term()
-        if sign < 0:
-            result = -result
         while True:
+            negate = kind == "-"
+            if kind in ("+", "-"):
+                tok.next()
+            for m, c in parse_term().terms.items():
+                if negate:
+                    c = domain.neg(c)
+                if m not in acc:
+                    acc[m] = c
+                    continue
+                s = domain.add(acc[m], c)
+                if s == 0:
+                    del acc[m]
+                else:
+                    acc[m] = s
             kind, _, _ = tok.peek()
-            if kind == "+":
-                tok.next()
-                result = result + parse_term()
-            elif kind == "-":
-                tok.next()
-                result = result - parse_term()
-            else:
-                return result
+            if kind not in ("+", "-"):
+                return Polynomial(domain, nvars, acc, _clean=True)
 
     def parse_term() -> Polynomial:
         result = parse_factor()

@@ -393,7 +393,7 @@ def emitted_certificates(tmp_path_factory, det_f3_certification):
 
     spec = TripleSpec(R)
     cert = _emit("strongly_F_regular", THEOREM_TAGS["sfr"], 3, result.witness,
-                 spec, spec, ["test element vanishes on the singular locus"],
+                 spec, ["test element vanishes on the singular locus"],
                  [{"prime": 3, "status": "certified"}])
     certs.append(cert)
     paths = []

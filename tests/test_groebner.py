@@ -1,14 +1,20 @@
 """Groebner kernel: bases, membership, colon, intersection, budget."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fsing import groebner
 from fsing.groebner import (
     Budget,
     BudgetExceededError,
     Ideal,
+    buchberger,
     colon_ideal,
+    divide,
+    eliminate,
     groebner_basis,
     ideal_membership,
     ideal_ops,
@@ -20,6 +26,7 @@ from fsing.polycore import (
     LEX,
     Polynomial,
     RATIONALS,
+    elimination_order,
     parse_polynomial,
     prime_field,
 )
@@ -121,6 +128,155 @@ class TestGroebnerBasis:
         def canon(items):
             return sorted((sorted(d.items()) for d in items))
         assert canon(mine_set) == canon(sym_set)
+
+
+def _sympy_monic_basis(polys, names, order, p):
+    """sympy's reduced Groebner basis, each member as a frozenset of
+    (monomial, coefficient) scaled to leading coefficient one."""
+    syms = sp.symbols(names)
+    kw = {} if p is None else {"modulus": p}
+    basis = sp.groebner(
+        [sp.sympify(f.to_string(names).replace("^", "**")) for f in polys],
+        *syms, order=order.kind, **kw)
+    out = set()
+    for g in basis.polys:
+        terms = g.terms(order=order.kind)
+        if p is None:
+            lc = Fraction(int(terms[0][1].p), int(terms[0][1].q))
+            out.add(frozenset((m, Fraction(int(c.p), int(c.q)) / lc)
+                              for m, c in terms))
+        else:
+            inv = pow(int(terms[0][1]) % p, -1, p)
+            out.add(frozenset((m, int(c) * inv % p) for m, c in terms))
+    return out
+
+
+class TestSympyOracleWide:
+    """Reduced bases in 3 and 4 variables, exponents up to 8, in grevlex
+    and lex, over Q and F_7, against sympy."""
+
+    @pytest.mark.skipif(not HAVE_SYMPY, reason="sympy oracle unavailable")
+    @pytest.mark.parametrize("nvars", [3, 4])
+    @pytest.mark.parametrize("order", [GREVLEX, LEX], ids=["grevlex", "lex"])
+    @pytest.mark.parametrize("p", [None, 7], ids=["Q", "F7"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_against_sympy(self, nvars, order, p, seed):
+        rng = random.Random(1000 * nvars + seed)
+        dom = RATIONALS if p is None else prime_field(p)
+        names = ("x", "y", "z", "w")[:nvars]
+
+        def random_binomial():
+            # lex bases of random trinomials over Q grow past test-suite
+            # size (tens of thousands of steps at these degrees)
+            terms = {}
+            for _ in range(2):
+                mono = tuple(rng.randint(0, 8) for _ in range(nvars))
+                terms[mono] = terms.get(mono, 0) + rng.choice([-3, -1, 1, 2])
+            return Polynomial(dom, nvars, terms)
+
+        polys = [f for f in (random_binomial() for _ in range(7 - nvars))
+                 if f]
+        mine = groebner_basis(Ideal(dom, nvars, polys), order)
+        assert {frozenset(g.terms.items()) for g in mine} == \
+            _sympy_monic_basis(polys, names, order, p)
+
+
+DIVISION_ORDERS = [GREVLEX, LEX, elimination_order(1), elimination_order(2)]
+mono3 = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+
+
+class TestDivisionProperty:
+    @given(st.sampled_from([None, 2, 5]),
+           st.sampled_from(range(len(DIVISION_ORDERS))),
+           st.lists(st.tuples(mono3, st.integers(-4, 4)), max_size=8),
+           st.lists(st.lists(st.tuples(mono3, st.integers(-4, 4)),
+                             min_size=1, max_size=4), min_size=1, max_size=3))
+    @settings(max_examples=120, deadline=None)
+    def test_quotients_and_remainder(self, p, k, f_terms, divisor_terms):
+        """f = sum q_i g_i + r, and no term of r is divisible by any lm(g_i)."""
+        dom = RATIONALS if p is None else prime_field(p)
+        order = DIVISION_ORDERS[k]
+        f = Polynomial(dom, 3, f_terms)
+        divs = [g for g in (Polynomial(dom, 3, t) for t in divisor_terms) if g]
+        if not divs:
+            return
+        qs, r = divide(f, divs, order, with_quotients=True)
+        assert len(qs) == len(divs)
+        total = r
+        for q, g in zip(qs, divs):
+            total = total + q * g
+        assert total == f
+        lms = [g.leading_monomial(order) for g in divs]
+        for m in r.terms:
+            assert not any(all(a <= b for a, b in zip(lm, m)) for lm in lms)
+        for h in [r, *qs]:
+            if h:
+                assert h.leading_monomial(order) == max(h.terms,
+                                                        key=order.key)
+
+
+class TestWideExponents:
+    """Exponents of 2^16 and more, and results past the width the inputs
+    need (the packed kernel widens its fields and starts over)."""
+
+    @pytest.mark.skipif(not HAVE_SYMPY, reason="sympy oracle unavailable")
+    def test_grevlex_basis_against_sympy(self):
+        names = ("x", "y", "z")
+        polys = [P("x^70000*y - z", names), P("y^70000 - z", names)]
+        mine = buchberger(polys, GREVLEX)
+        assert {frozenset(g.terms.items()) for g in mine} == \
+            _sympy_monic_basis(polys, names, GREVLEX, None)
+
+    def test_elimination_basis(self):
+        # t = y^70000 forces x = t^2 = y^140000
+        names = ("t", "x", "y")
+        I = Ideal(RATIONALS, 3, [P("t - y^70000", names),
+                                 P("t^2 - x", names)])
+        gb = buchberger(I.gens, elimination_order(1))
+        assert set(gb) == {P("t - y^70000", names),
+                           P("y^140000 - x", names)}
+        assert eliminate(I, 1).gens == (P("y^140000 - x", names),)
+
+    @pytest.mark.parametrize("order", [LEX, elimination_order(1)],
+                             ids=["lex", "elim"])
+    def test_division_past_the_input_width(self, order):
+        # the remainder is f at x = y^70000
+        names = ("x", "y")
+        f = P("x^3 + x*y^70000", names)
+        g = P("x - y^70000", names)
+        (q,), r = divide(f, [g], order, with_quotients=True)
+        assert r == P("y^210000 + y^140000", names)
+        assert q == P("x^2 + x*y^70000 + y^140000 + y^70000", names)
+        assert q * g + r == f
+
+    def test_grevlex_division_and_intersection(self):
+        names = ("x", "y")
+        f = P("x^70000*y^2 - y", names)
+        (q,), r = divide(f, [P("x*y - 1", names)], GREVLEX,
+                         with_quotients=True)
+        assert r == P("x^69998 - y", names)
+        assert q * P("x*y - 1", names) + r == f
+        meet = intersection(Ideal(RATIONALS, 2, [P("x^70000", names)]),
+                            Ideal(RATIONALS, 2, [P("y^70000", names)]))
+        assert meet.gens == (P("x^70000*y^70000", names),)
+        assert meet.contains(P("x^70001*y^70000 - x^70000*y^70001",
+                                    names))
+        assert not meet.contains(P("x^70000*y^69999", names))
+
+    def test_step_counts_do_not_depend_on_the_width(self, monkeypatch):
+        names = ("t", "x", "y")
+        gens = [P("t - y^70000", names), P("t^2 - x", names)]
+        runs = []
+        for width in (None, 64):
+            if width is not None:
+                monkeypatch.setattr(groebner, "_MIN_WIDTH", width,
+                                    raising=False)
+            budget = Budget()
+            gb = buchberger(gens, elimination_order(1), budget)
+            r = divide(P("t^3*x", names), gb, elimination_order(1),
+                       budget)
+            runs.append((gb, r, budget.used))
+        assert runs[0] == runs[1]
 
 
 class TestMembership:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fsing.groebner import divide
 from fsing.polycore import (
     GREVLEX,
     LEX,
@@ -240,7 +241,11 @@ class TestLeadingMonomialCache:
         if f.is_zero():
             return
         g = Polynomial(dom, 3, [(m[::-1], c + 1) for m, c in terms])
-        derived = [f, f.monic(ORDERS[picks[0]]), f * g]
+        first = ORDERS[picks[0]]
+        # a scalar multiple and a remainder are born with the leading
+        # monomial of ``first`` (when f has it cached) already set
+        derived = [f, f.monic(first), f * g, f * 3,
+                   divide(f + g, [g] if g else [], first)]
         if p is not None:
             derived.append(f.frobenius_power(p))
         for k in picks:
