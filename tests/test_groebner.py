@@ -259,8 +259,7 @@ class TestWideExponents:
         meet = intersection(Ideal(RATIONALS, 2, [P("x^70000", names)]),
                             Ideal(RATIONALS, 2, [P("y^70000", names)]))
         assert meet.gens == (P("x^70000*y^70000", names),)
-        assert meet.contains(P("x^70001*y^70000 - x^70000*y^70001",
-                                    names))
+        assert meet.contains(P("x^70001*y^70000 - x^70000*y^70001", names))
         assert not meet.contains(P("x^70000*y^69999", names))
 
     def test_step_counts_do_not_depend_on_the_width(self, monkeypatch):
