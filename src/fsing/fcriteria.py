@@ -93,12 +93,17 @@ def nu_value(f: Polynomial, e: int) -> int:
     powers = {0: Polynomial.constant(f.domain, f.nvars, 1)}
 
     def power(t: int) -> Polynomial:
+        """f^t mod m^[q]: m^[q] is a monomial ideal, so the terms with an
+        exponent >= q can be dropped after every multiplication."""
         if t not in powers:
             best = max(k for k in powers if k <= t)
             base = powers[best]
             for _ in range(t - best):
                 best += 1
-                base = base * f
+                prod = base * f
+                base = Polynomial(f.domain, f.nvars,
+                                  {m: c for m, c in prod.terms.items()
+                                   if max(m) < q}, _clean=True)
                 powers[best] = base
         return powers[t]
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import groupby
 from operator import itemgetter
 
 from .polycore import (
@@ -314,6 +315,21 @@ def _member_polynomial(d, packing: Packing, dom) -> Polynomial:
     return packing.polynomial(dom, [(d[0], dom.one())] + d[2], d)
 
 
+def _sorted_distinct(gens) -> tuple:
+    """``gens`` sorted by (grevlex key of the leading monomial, sort_key()),
+    each polynomial kept once, at its first occurrence.  ``sort_key()`` is
+    needed, and computed, only inside runs of equal leading monomials."""
+    gens = sorted(gens, key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
+    out = []
+    for _, run in groupby(gens, key=lambda g: g.leading_monomial(GREVLEX)):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=Polynomial.sort_key)   # stable: first occurrence first
+            run = [g for k, g in enumerate(run) if k == 0 or g != run[k - 1]]
+        out.extend(run)
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -325,20 +341,15 @@ class Ideal:
     def __init__(self, domain, nvars: int, gens):
         self.domain = domain
         self.nvars = nvars
-        seen = set()
         cleaned = []
         for g in gens:
             if not isinstance(g, Polynomial):
                 raise PolyError("ideal generators must be polynomials")
             if g.domain != domain or g.nvars != nvars:
                 raise DomainError("generator lives in a different ring")
-            if g.is_zero() or g in seen:
-                continue
-            seen.add(g)
-            cleaned.append(g)
-        cleaned.sort(key=lambda g: (GREVLEX.key(g.leading_monomial(GREVLEX)),
-                                    g.sort_key()))
-        self.gens = tuple(cleaned)
+            if not g.is_zero():
+                cleaned.append(g)
+        self.gens = _sorted_distinct(cleaned)
         self._gb_cache = {}
 
     @classmethod

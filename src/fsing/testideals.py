@@ -5,6 +5,9 @@ the ascending sum over i of the images of (a^{ceil(q^i lambda)} I) under the
 i-th iterate of the p^{-e}-linear map gamma.  With gamma represented by a
 multiplier u, the i-th summand is the Frobenius root of
 u^{(i)} * a^{ceil(q^i lambda)} * I at q^i, where u^{(i)} = u^{1+q+...+q^{i-1}}.
+It is computed as i nested roots at q, multiplying by u before each one,
+by the identities (K^[1/q])^[1/q'] = K^[1/qq'] and (g^q K)^[1/q] = g K^[1/q]
+(Blickle-Mustata-Smith 2008, Lemma 2.4), so u^{(i)} is never formed.
 
 The relative theory works over a polynomial base A = F_p[t_1..t_m]: roots
 are taken in the fiber variables only (coefficients in A^{1/q^i} untouched),
@@ -71,9 +74,17 @@ def _summands(gamma: PLinearMap, I: Ideal, pairs, fiber_indices=None):
     the mixed ideal prod a_j^{lam_j}, for ``pairs = ((a_j, lam_j), ...)``.
 
     S_i is the root at q^i (in the fiber variables only, if given) of
-    u^{(i)} * prod a_j^{ceil(q^i lam_j)} * I.  Powers are taken of each
-    a_j's reduced basis (same ideal, smaller generators), computed once;
-    u^{(i)} = (u^{(i-1)})^q * u is built only when S_i is asked for.
+    u^{(i)} * J_i, with u^{(i)} = u^{1+q+...+q^{i-1}} and
+    J_i = prod a_j^{ceil(q^i lam_j)} * I.  It is evaluated by nested
+    single-step roots phi (at q, fiber variables only if given),
+
+        S_i = phi(u_[q^{i-1}] * phi(... phi(u_[q] * phi(u * J_i)) ...)),
+
+    where u_[q^k] is u with its base exponents multiplied by q^k (u itself
+    without base variables).  That rests on (K^[1/q])^[1/q'] = K^[1/qq']
+    and (g^q K)^[1/q] = g_[q] K^[1/q], with u^{(i)} = u^{(i-1)} u^{q^{i-1}}.
+    Powers are taken of each a_j's reduced basis (same ideal, smaller
+    generators), computed once, as are the scaled multipliers u_[q^k].
     """
     q = gamma.power.q
     bases = []
@@ -82,7 +93,9 @@ def _summands(gamma: PLinearMap, I: Ideal, pairs, fiber_indices=None):
         bases.append(Ideal(a.domain, a.nvars, gb) if gb else a)
     powers = [{} for _ in pairs]
     u = gamma.multiplier
-    ui = Polynomial.constant(u.domain, u.nvars, 1)
+    base_vars = (() if fiber_indices is None
+                 else set(range(u.nvars)).difference(fiber_indices))
+    scaled = [u]
     for i in count():
         J = I
         for base, (_, lam), cache in zip(bases, pairs, powers):
@@ -90,13 +103,14 @@ def _summands(gamma: PLinearMap, I: Ideal, pairs, fiber_indices=None):
             if n not in cache:
                 cache[n] = ideal_power(base, n)
             J = ideal_product(cache[n], J)
-        J = Ideal(J.domain, J.nvars, [ui * g for g in J.gens])
-        if i:
-            J = frobenius_root(J, FrobeniusPower(gamma.power.p,
-                                                 gamma.power.e * i),
-                               fiber_indices)
+        for k in range(i):
+            if k == len(scaled):
+                scaled.append(u.scale_exponents(base_vars, q ** k)
+                              if base_vars else u)
+            J = frobenius_root(
+                Ideal(J.domain, J.nvars, [scaled[k] * g for g in J.gens]),
+                gamma.power, fiber_indices)
         yield J
-        ui = ui.frobenius_power(q) * u
 
 
 def _level_sum(gamma: PLinearMap, I: Ideal, pairs, n: int, base=(),

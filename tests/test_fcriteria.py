@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsing.fcriteria import (
     NonGradedError,
@@ -14,7 +15,7 @@ from fsing.fcriteria import (
     strongly_fregular,
     suggest_test_elements,
 )
-from fsing.polycore import PolyError, prime_field
+from fsing.polycore import Polynomial, PolyError, prime_field
 from fsing.triples import (
     DivisorData,
     TripleSpec,
@@ -70,6 +71,23 @@ class TestNuValue:
                 break
             power, t = nxt, t + 1
         assert nu_value(f, 2) == t
+
+    @given(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2]),
+           st.integers(2, 3),
+           st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * 3),
+                              st.integers(1, 4)),
+                    min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_untruncated_powers(self, p, e, nvars, terms):
+        """nu(f, e) against a scan over the full powers f^t, for f in m."""
+        dom = prime_field(p)
+        f = Polynomial(dom, nvars, {m[:nvars]: c for m, c in terms
+                                    if any(m[:nvars])})
+        q = p ** e
+        t, power = 0, Polynomial.constant(dom, nvars, 1)
+        while any(all(x < q for x in m) for m in power.terms):
+            power, t = power * f, t + 1
+        assert nu_value(f, e) == t - 1
 
 
 class TestFptLowerBound:

@@ -215,6 +215,42 @@ class TestDivisionProperty:
                                                         key=order.key)
 
 
+def _sorted_distinct_reference(gens):
+    """The generator order Ideal kept before sort_key() was confined to
+    ties: drop duplicates at their first occurrence, then one full sort."""
+    seen, kept = set(), []
+    for g in gens:
+        if g and g not in seen:
+            seen.add(g)
+            kept.append(g)
+    kept.sort(key=lambda g: (GREVLEX.key(g.leading_monomial(GREVLEX)),
+                             g.sort_key()))
+    return kept
+
+
+class TestIdealGeneratorOrder:
+    @given(st.sampled_from([None, 2, 3]),
+           st.lists(st.lists(st.tuples(st.tuples(st.integers(0, 1),
+                                                 st.integers(0, 1)),
+                                       st.integers(-2, 2)),
+                             max_size=3), min_size=1, max_size=6),
+           st.lists(st.tuples(st.integers(0, 5), st.booleans()), max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_key_sort(self, p, pool_terms, picks):
+        """Few small monomials, so leading monomials repeat; picks repeat
+        pool members, as the same object or as an equal copy."""
+        dom = RATIONALS if p is None else prime_field(p)
+        pool = [Polynomial(dom, 2, dict(t)) for t in pool_terms]
+        gens = []
+        for k, copy in picks:
+            g = pool[k % len(pool)]
+            gens.append(Polynomial(dom, 2, dict(g.terms)) if copy else g)
+        got = Ideal(dom, 2, gens).gens
+        want = _sorted_distinct_reference(gens)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+
 class TestWideExponents:
     """Exponents of 2^16 and more, and results past the width the inputs
     need (the packed kernel widens its fields and starts over)."""

@@ -1,15 +1,18 @@
 """Test ideal sums: absolute, pair-divisor, relative, and their identities."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fsing.frobenius import FrobeniusPower, embed_ideal_to_level
-from fsing.groebner import Ideal
-from fsing.polycore import prime_field
+from fsing.frobenius import FrobeniusPower, embed_ideal_to_level, frobenius_root
+from fsing.groebner import Ideal, ideal_power, ideal_product
+from fsing.polycore import Polynomial, ceil_frac, prime_field
 from fsing.testideals import TestIdealError as TauError
 from fsing.testideals import (
     PLinearMap,
+    _summands,
     RelativeSetup,
     base_change_check,
     fiber_compare,
@@ -363,3 +366,67 @@ class TestSumDecomposition:
                                          [Fraction(3, 2)], sample_budget=10)
         assert report.sampled_in_tau
         assert report.samples >= 3
+
+
+def _literal_summands(gamma, I, pairs, fiber_indices, count):
+    """S_0..S_{count-1} by the definition: one root at q^i of
+    u^{(i)} * prod a_j^{ceil(q^i lam_j)} * I, u^{(i)} = (u^{(i-1)})^q u."""
+    p, e, q = gamma.power.p, gamma.power.e, gamma.power.q
+    u = gamma.multiplier
+    ui = Polynomial.constant(u.domain, u.nvars, 1)
+    out = []
+    for i in range(count):
+        J = I
+        for a, lam in pairs:
+            J = ideal_product(ideal_power(a, ceil_frac(lam * q ** i)), J)
+        J = Ideal(J.domain, J.nvars, [ui * g for g in J.gens])
+        if i:
+            J = frobenius_root(J, FrobeniusPower(p, e * i), fiber_indices)
+        out.append(J)
+        ui = ui.frobenius_power(q) * u
+    return out
+
+
+def _small_poly(max_terms):
+    return st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * 3),
+                              st.integers(1, 4)),
+                    min_size=1, max_size=max_terms)
+
+
+class TestNestedSummands:
+    @given(st.sampled_from([2, 3, 5]), st.sampled_from([1, 2]),
+           st.booleans(), _small_poly(3),
+           st.lists(_small_poly(3), min_size=1, max_size=2),
+           st.lists(st.tuples(st.lists(_small_poly(2), min_size=1, max_size=1),
+                              st.sampled_from([Fraction(1, 4), Fraction(1, 3),
+                                               Fraction(1, 2), Fraction(2, 3),
+                                               Fraction(1)])),
+                    min_size=1, max_size=2))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_single_root(self, p, e, relative, u_terms, I_terms,
+                                 pair_terms):
+        """Nested single-step roots give the ideals of the literal sum, for
+        i <= 3 while q^i <= 125; absolute in (x, y), or relative over F_p[t]
+        in (t, x, y).  Each a_j is principal, so a_j^{q^i lam_j} stays one
+        generator."""
+        nvars = 3 if relative else 2
+        fiber = (1, 2) if relative else None
+        dom = prime_field(p)
+
+        def poly(terms):
+            return Polynomial(dom, nvars, {m[:nvars]: c for m, c in terms})
+
+        def ideal(polys):
+            return Ideal(dom, nvars, [poly(t) for t in polys])
+
+        u = poly(u_terms)
+        I = ideal(I_terms)
+        pairs = [(ideal(gs), lam) for gs, lam in pair_terms]
+        if u.is_zero() or I.is_zero() or any(a.is_zero() for a, _ in pairs):
+            return
+        gamma = PLinearMap(FrobeniusPower(p, e), u)
+        count = 1 + max(i for i in range(4) if gamma.power.q ** i <= 125)
+        want = _literal_summands(gamma, I, pairs, fiber, count)
+        got = list(islice(_summands(gamma, I, pairs, fiber), count))
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.equals(b), i
