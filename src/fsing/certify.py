@@ -143,6 +143,7 @@ def _witness_verification(ring: RingPresentation, spec: TripleSpec,
     base variables are units of the coefficient field).
     """
     names = list(ring.var_names)
+    colon = witness.colon_element.to_string(names)
     out = {
         "p": ring.domain.p,
         "e": witness.e,
@@ -157,8 +158,10 @@ def _witness_verification(ring: RingPresentation, spec: TripleSpec,
             {"poly": f.poly.to_string(names), "exponent": f.exponent,
              "source": f.source}
             for f in witness.factors],
-        "colon_element": witness.colon_element.to_string(names),
-        "witness_element": witness.product.to_string(names),
+        "colon_element": colon,
+        # a multiplier of 1 leaves the colon element as the product
+        "witness_element": (colon if witness.product == witness.colon_element
+                            else witness.product.to_string(names)),
         "escaping_monomial": list(witness.monomial),
     }
     if escape_indices is not None:
@@ -182,7 +185,7 @@ def _emit(conclusion: str, tag: str, prime, witness: FPurityWitness | None,
         if not verify_witness_data(ver):
             raise CertifyError("soundness gate: witness failed re-verification")
         exponent = witness.e
-        element = witness.product.to_string(spec_p.ring.var_names)
+        element = ver["witness_element"]
     status = "inconclusive" if conclusion == "inconclusive" else "certified"
     return Certificate(conclusion, tag, prime, exponent, element,
                        list(assumptions), status, verification=ver,

@@ -19,10 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
+from operator import mul
 
-from .groebner import Budget, Ideal, colon_ideal, divide
-from .polycore import GREVLEX, DomainError, Polynomial, PolyError, ceil_frac
+from .groebner import Budget, Ideal, buchberger, colon_ideal, divide
+from .polycore import (GREVLEX, DomainError, Polynomial, PolyError, ceil_frac,
+                       mono_mul)
 from .frobenius import FrobeniusPower, bracket_power, decompose
 from .triples import DivisorData, RingPresentation, TripleSpec
 
@@ -43,6 +46,7 @@ __all__ = [
     "NonGradedError",
     "find_positive_grading",
     "ring_dimension",
+    "complete_intersection",
     "singular_locus_ideal",
 ]
 
@@ -169,12 +173,43 @@ class SFRResult:
 
 def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
                   budget: Budget | None):
-    """Generators of (I^[q] : I), or [1] for a regular ambient ring."""
+    """Generators of (I^[q] : I), or [1] for a regular ambient ring.
+
+    Fedder's closed forms (Fedder 1983) replace the colon computation where
+    they apply, and give the same generators as ``colon_ideal``:
+
+    * a hypersurface (f): the colon is (f^(q-1)), and ``colon_ideal``
+      returns f^(q-1) / lc(f), the quotient of the monic f^q by f;
+    * a complete intersection (f_1, ..., f_k), k >= 2: the colon is
+      I^[q] + ((f_1 ... f_k)^(q-1)), and ``colon_ideal`` returns its
+      reduced grevlex basis.
+    """
     if ring.is_regular_ambient:
         return [ring.constant(1)]
+    gens = ring.relations.gens
+    if len(gens) == 1:
+        f = gens[0]
+        return [_power_q_minus_one(f, power)
+                * ring.domain.inv(f.leading_coefficient(GREVLEX))]
+    closed_form = complete_intersection(ring, budget)
+    # after the recogniser, so the bracket inherits the relations' basis
     bracket = bracket_power(ring.relations, power)
-    col = colon_ideal(bracket, ring.relations, budget)
-    return list(col.gens)
+    if closed_form:
+        seed = bracket.groebner_basis(GREVLEX, budget)
+        return list(buchberger(
+            seed + (_power_q_minus_one(reduce(mul, gens), power),),
+            GREVLEX, budget))
+    return list(colon_ideal(bracket, ring.relations, budget).gens)
+
+
+def _power_q_minus_one(f: Polynomial, power: FrobeniusPower) -> Polynomial:
+    """f^(q-1) as the product of (f^(p-1))^[p^i] over i < e, since
+    q - 1 = (p - 1)(1 + p + ... + p^(e-1)): one small power, then
+    Frobenius powers, which only scale exponents."""
+    p = power.p
+    base = f ** (p - 1)
+    return reduce(mul, (base.frobenius_power(p ** i)
+                        for i in range(1, power.e)), base)
 
 
 def _multiplier_candidates(spec: TripleSpec, q: int):
@@ -336,6 +371,16 @@ def ring_dimension(ring: RingPresentation, budget: Budget | None = None) -> int:
                        for m in lms):
                 return size
     return 0
+
+
+def complete_intersection(ring: RingPresentation,
+                          budget: Budget | None = None) -> bool:
+    """True iff the relations are a complete intersection: as many
+    generators as the codimension n - dim(P/I).  Then they form a regular
+    sequence at every prime containing I, which is what Fedder's closed
+    form of (I^[q] : I) needs."""
+    codim = ring.nvars - ring_dimension(ring, budget)
+    return len(ring.relations.gens) == codim
 
 
 def singular_locus_ideal(ring: RingPresentation,
@@ -579,23 +624,30 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
             return f
         return divide(f, gb, GREVLEX)
 
-    # linear rows over F_p: map monomial -> {column: coeff}, rhs constant
-    rows: dict = {}
+    # nf is linear, so each monomial's normal form is computed once
+    nf_terms: dict = {}
+
+    def nf_monomial(m) -> dict:
+        terms = nf_terms.get(m)
+        if terms is None:
+            terms = nf_terms[m] = nf(Polynomial(dom, nvars, {m: 1},
+                                                _clean=True)).terms
+        return terms
 
     def add_rows(parts, rhs_poly):
         """parts: list of (coeff poly w, residue b); equation
         nf(sum w * v_b) = nf(rhs_poly), expanded per unknown column."""
+        p = dom.p
         acc: dict = {}
         for w_poly, b in parts:
             cols = block_index.get(b)
             if not cols:
                 continue
             for mono, col in cols.items():
-                contrib = nf(w_poly * Polynomial.monomial(dom, nvars, mono))
-                for mm, cc in contrib.terms.items():
-                    key = mm
-                    row = acc.setdefault(key, {})
-                    row[col] = dom.add(row.get(col, 0), cc)
+                for a, c in w_poly.terms.items():
+                    for mm, cc in nf_monomial(mono_mul(a, mono)).items():
+                        row = acc.setdefault(mm, {})
+                        row[col] = (row.get(col, 0) + c * cc) % p
         rhs = nf(rhs_poly)
         keys = set(acc) | set(rhs.terms)
         out = []

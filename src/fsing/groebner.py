@@ -204,10 +204,9 @@ def buchberger(gens, order: MonomialOrder = GREVLEX,
                budget: Budget | None = None):
     """Reduced Groebner basis of the ideal generated by ``gens``."""
     budget = _ensure_budget(budget)
-    basis = [g.monic(order) for g in gens if g]
+    basis = _sorted([g.monic(order) for g in gens if g], order)
     if not basis:
         return ()
-    basis.sort(key=lambda g: (order.key(g.leading_monomial(order)), g.sort_key()))
     nvars = basis[0].nvars
     width = _width(max(g.total_degree() for g in basis))
     return _widening(budget, width, lambda width: _buchberger(
@@ -315,19 +314,22 @@ def _member_polynomial(d, packing: Packing, dom) -> Polynomial:
     return packing.polynomial(dom, [(d[0], dom.one())] + d[2], d)
 
 
-def _sorted_distinct(gens) -> tuple:
-    """``gens`` sorted by (grevlex key of the leading monomial, sort_key()),
-    each polynomial kept once, at its first occurrence.  ``sort_key()`` is
-    needed, and computed, only inside runs of equal leading monomials."""
-    gens = sorted(gens, key=lambda g: GREVLEX.key(g.leading_monomial(GREVLEX)))
+def _sorted(gens, order: MonomialOrder, distinct: bool = False) -> list:
+    """``gens`` sorted by (key of the leading monomial in ``order``,
+    sort_key()); with ``distinct``, each polynomial kept once, at its first
+    occurrence.  ``sort_key()`` is needed, and computed, only inside runs of
+    equal leading monomials."""
+    gens = sorted(gens, key=lambda g: order.key(g.leading_monomial(order)))
     out = []
-    for _, run in groupby(gens, key=lambda g: g.leading_monomial(GREVLEX)):
+    for _, run in groupby(gens, key=lambda g: g.leading_monomial(order)):
         run = list(run)
         if len(run) > 1:
             run.sort(key=Polynomial.sort_key)   # stable: first occurrence first
-            run = [g for k, g in enumerate(run) if k == 0 or g != run[k - 1]]
+            if distinct:
+                run = [g for k, g in enumerate(run)
+                       if k == 0 or g != run[k - 1]]
         out.extend(run)
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,7 @@ class Ideal:
                 raise DomainError("generator lives in a different ring")
             if not g.is_zero():
                 cleaned.append(g)
-        self.gens = _sorted_distinct(cleaned)
+        self.gens = tuple(_sorted(cleaned, GREVLEX, distinct=True))
         self._gb_cache = {}
 
     @classmethod

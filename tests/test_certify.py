@@ -27,6 +27,9 @@ from fsing.verify import verify_certificate_file, verify_witness_data
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "corpus_report.json"
+# the 2x2 minors of a generic 2x3 matrix: not a complete intersection, so
+# its Fedder colon takes the general, budgeted route
+MINORS_2X3 = ["a*e - b*d", "a*f - c*d", "b*f - c*e"]
 
 
 def lc_job(**extra):
@@ -154,8 +157,8 @@ class TestCertifyKlt:
         # the budget runs out at the input's own prime: reported per cause,
         # not raised
         job = parse_job({
-            "variables": ["x", "y", "z"], "coefficient": "Fp", "p": 5,
-            "relations": ["x^2 + y^2 + z^2"], "test_element": "x",
+            "variables": ["a", "b", "c", "d", "e", "f"], "coefficient": "Fp",
+            "p": 5, "relations": MINORS_2X3, "test_element": "a",
             "gb_budget": 5,
         }, "klt")
         cert = run_job(job)["certificate"]
@@ -425,9 +428,9 @@ class TestCLI:
         assert "(3)" in err and "rejected_index_divisible" in err
 
     def test_fp_budget_exhaustion_exits_1(self, tmp_path):
-        data = {"variables": ["x", "y", "z"], "coefficient": "Fp", "p": 5,
-                "relations": ["x^2 + y^2 + z^2"], "test_element": "x",
-                "gb_budget": 5}
+        data = {"variables": ["a", "b", "c", "d", "e", "f"],
+                "coefficient": "Fp", "p": 5, "relations": MINORS_2X3,
+                "test_element": "a", "gb_budget": 5}
         out = tmp_path / "cert.json"
         assert self.run_main(tmp_path, "klt", data, "--json", str(out)) == 1
         cert = json.loads(out.read_text())["certificate"]

@@ -1,12 +1,16 @@
 """Splitting criteria: nu values, purity, regularity, the graded oracle."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from fsing import fcriteria
 from fsing.fcriteria import (
     NonGradedError,
+    _fedder_colon,
+    complete_intersection,
     find_positive_grading,
     fpt_lower_bound,
     nu_value,
@@ -15,7 +19,10 @@ from fsing.fcriteria import (
     strongly_fregular,
     suggest_test_elements,
 )
-from fsing.polycore import Polynomial, PolyError, prime_field
+from fsing.frobenius import FrobeniusPower, bracket_power
+from fsing.groebner import Budget, colon_ideal
+from fsing.polycore import (Polynomial, PolyError, default_variable_names,
+                            prime_field)
 from fsing.triples import (
     DivisorData,
     TripleSpec,
@@ -275,3 +282,151 @@ class TestOracleAgreement:
         fed = sharply_fpure(spec, 1)
         orc = splitting_oracle(spec, 1)
         assert fed.holds == orc.holds == expect
+
+
+# ---------------------------------------------------------------------------
+# Fedder's closed forms against the general colon route.
+
+
+def _general_colon(names, p, relations, e):
+    R = quotient_ring(names, prime_field(p), relations)
+    power = FrobeniusPower(p, e)
+    return colon_ideal(bracket_power(R.relations, power), R.relations).gens
+
+
+def _closed_colon(names, p, relations, e):
+    R = quotient_ring(names, prime_field(p), relations)
+    return _fedder_colon(R, FrobeniusPower(p, e), Budget())
+
+
+def _monomials(nvars, degrees):
+    return st.sampled_from([m for m in product(range(max(degrees) + 1),
+                                               repeat=nvars)
+                            if sum(m) in degrees])
+
+
+def _terms(nvars, degrees, p):
+    """(monomial, coefficient) pairs; no degree 0, so the polynomial
+    vanishes at the origin."""
+    return st.lists(st.tuples(_monomials(nvars, degrees),
+                              st.integers(1, p - 1)),
+                    min_size=1, max_size=4)
+
+
+@st.composite
+def _hypersurface(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.sampled_from([1, 2]))
+    nvars = draw(st.integers(2, 3))
+    f = Polynomial(prime_field(p), nvars, draw(_terms(nvars, (1, 2, 3), p)))
+    assume(f)
+    return p, e, nvars, [f]
+
+
+@st.composite
+def _complete_intersection(draw):
+    """Two relations; q <= 9, since the general route at q = 25 or 49 can
+    take minutes on three variables."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    e = draw(st.sampled_from([1, 2]) if p <= 3 else st.just(1))
+    nvars = draw(st.integers(2, 3))
+    dom = prime_field(p)
+    rels = [Polynomial(dom, nvars, draw(_terms(nvars, (1, 2), p)))
+            for _ in range(2)]
+    assume(all(rels))
+    R = quotient_ring(default_variable_names(nvars), dom, rels)
+    assume(len(R.relations.gens) == 2 and complete_intersection(R))
+    return p, e, nvars, rels
+
+
+class TestFedderClosedForms:
+    """``_fedder_colon`` must return, byte for byte, the generators of the
+    general route ``colon_ideal(I^[q], I)``."""
+
+    @given(_hypersurface())
+    @settings(max_examples=60, deadline=None)
+    def test_hypersurface_matches_general_route(self, case):
+        p, e, nvars, rels = case
+        names = default_variable_names(nvars)
+        want = [g.to_string(names) for g in _general_colon(names, p, rels, e)]
+        got = [g.to_string(names) for g in _closed_colon(names, p, rels, e)]
+        assert got == want
+
+    def test_hypersurface_keeps_the_leading_coefficient(self):
+        # lc(f) = 2 over F_5: the general route returns f^4 / 2, not f^4
+        names = ["x", "y", "z"]
+        R = ring(names, 5, ["2*x^2 + y^2 + z^2"])
+        (h,) = _closed_colon(names, 5, list(R.relations.gens), 1)
+        f = R.relations.gens[0]
+        assert h == f ** 4 * 3
+        assert h.leading_coefficient() == 3
+
+    @given(_complete_intersection())
+    @settings(max_examples=40, deadline=None)
+    def test_complete_intersection_matches_general_route(self, case):
+        p, e, nvars, rels = case
+        names = default_variable_names(nvars)
+        want = [g.to_string(names) for g in _general_colon(names, p, rels, e)]
+        got = [g.to_string(names) for g in _closed_colon(names, p, rels, e)]
+        assert got == want
+
+    @pytest.mark.parametrize("names,p,rels,general", [
+        (["a", "b", "c", "d", "e", "f"], 3,
+         ["a*e - b*d", "a*f - c*d", "b*f - c*e"], True),
+        # a redundant member: two generators of a height-one ideal
+        (["x", "y", "z"], 3, ["x*z - y^2", "x^2*z - x*y^2"], True),
+        (["x", "y", "z"], 3, ["x*z - y^2"], False),
+        (["x", "y", "z", "w", "v"], 3,
+         ["x*y - z*w", "x^2 + y^2 + z^2 + w^2 + v^2"], False),
+    ])
+    def test_only_non_complete_intersections_take_the_general_route(
+            self, monkeypatch, names, p, rels, general):
+        calls = []
+
+        def spy(I, J, budget=None):
+            calls.append(J)
+            return colon_ideal(I, J, budget)
+
+        monkeypatch.setattr(fcriteria, "colon_ideal", spy)
+        R = ring(names, p, rels)
+        got = _fedder_colon(R, FrobeniusPower(p, 1), Budget())
+        assert len(calls) == (1 if general else 0)
+        want = _general_colon(names, p, [R.parse(r) for r in rels], 1)
+        assert [g.to_string(names) for g in got] == \
+            [g.to_string(names) for g in want]
+
+    def test_recogniser(self):
+        two_quadrics = ring(["x", "y", "z", "w", "v"], 3,
+                            ["x*y - z*w", "x^2 + y^2 + z^2 + w^2 + v^2"])
+        twisted_cubic = ring(["x", "y", "z", "w"], 3,
+                             ["x*z - y^2", "x*w - y*z", "y*w - z^2"])
+        assert complete_intersection(two_quadrics)
+        assert not complete_intersection(twisted_cubic)
+
+
+@st.composite
+def _graded_relations(draw):
+    """Homogeneous relations in the standard grading: one form in three
+    variables, or two in four (where p = 5 makes the oracle slow)."""
+    k = draw(st.integers(1, 2))
+    p = draw(st.sampled_from([2, 3, 5] if k == 1 else [2, 3]))
+    nvars = 2 + k
+    dom = prime_field(p)
+    rels = []
+    for _ in range(k):
+        degree = draw(st.integers(2, 3))
+        rels.append(Polynomial(dom, nvars, draw(_terms(nvars, (degree,), p))))
+    assume(all(rels))
+    return p, nvars, rels
+
+
+class TestClosedFormOracleAgreement:
+    @given(_graded_relations())
+    @settings(max_examples=40, deadline=None)
+    def test_fpure_verdict_matches_oracle(self, case):
+        p, nvars, rels = case
+        R = quotient_ring(default_variable_names(nvars), prime_field(p), rels)
+        spec = TripleSpec(R)
+        orc = splitting_oracle(spec, 1)
+        assert orc.status in ("holds", "fails")
+        assert sharply_fpure(spec, 1).holds == orc.holds
