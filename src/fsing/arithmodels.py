@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .groebner import Budget, Ideal
 from .polycore import Polynomial, _is_prime, prime_field
@@ -39,11 +39,7 @@ def clear_denominators(f: Polynomial):
     """(integral polynomial, excluded primes of the cleared denominator)."""
     if not f.domain.is_rational:
         raise ReductionError("only Q-coefficients can be spread out")
-    lcm = 1
-    for c in f.terms.values():
-        den = Fraction(c).denominator
-        lcm = lcm * den // gcd(lcm, den)
-    cleared = f * lcm
+    cleared = f * lcm(*(Fraction(c).denominator for c in f.terms.values()))
     primes = set()
     for c in f.terms.values():
         primes |= _prime_factors(Fraction(c).denominator)
@@ -160,7 +156,7 @@ class PerfectionLevel:
 @dataclass(frozen=True)
 class GeometricSFRResult:
     status: str  # "certified" | "inconclusive"
-    level: int
+    model: TripleSpec  # the k^{1/p^n} model that was checked
     e: int
     witness: object = None
 
@@ -217,4 +213,4 @@ def geometric_sfr_check(spec: TripleSpec, level: PerfectionLevel,
         if level.n else c
     result = strongly_fregular(model, c_model, e_max, budget,
                                escape_indices=spec.ring.fiber_vars)
-    return GeometricSFRResult(result.status, level.n, result.e, result.witness)
+    return GeometricSFRResult(result.status, model, result.e, result.witness)

@@ -22,7 +22,6 @@ from .arithmodels import (
     _reduce_poly,
     clear_denominators,
     geometric_sfr_check,
-    perfection_model,
     reduce_mod_p,
     spread_out,
     suggest_primes,
@@ -313,17 +312,14 @@ def certify_gsfr(job: JobSpec) -> Certificate:
         "test element vanishes on the non-regular locus (user-asserted)",
     ]
     p = job.spec.ring.domain.p
-    model = perfection_model(job.spec, PerfectionLevel(job.level))
     result = geometric_sfr_check(job.spec, PerfectionLevel(job.level),
                                  job.test_element, job.e_max, job.budget())
     tried = [{"prime": p, "status": result.status, "level": job.level}]
-    if result.certified:
-        return _emit("geometrically_strongly_F_regular", THEOREM_TAGS["gsfr"],
-                     p, result.witness, model, assumptions, tried,
-                     details={"level": job.level},
-                     escape_indices=job.spec.ring.fiber_vars)
-    return _emit("inconclusive", THEOREM_TAGS["gsfr"], p, None, None,
-                 assumptions, tried, details={"level": job.level})
+    # _emit turns a missing witness into "inconclusive"
+    return _emit("geometrically_strongly_F_regular", THEOREM_TAGS["gsfr"],
+                 p, result.witness, result.model, assumptions, tried,
+                 details={"level": job.level},
+                 escape_indices=job.spec.ring.fiber_vars)
 
 
 @dataclass
@@ -522,8 +518,6 @@ def _matches(expected, got) -> bool:
         if not isinstance(got, dict):
             return False
         return all(k in got and _matches(v, got[k]) for k, v in expected.items())
-    if isinstance(expected, list):
-        return expected == got
     return expected == got
 
 

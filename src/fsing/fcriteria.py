@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
+from math import gcd, lcm
 from operator import mul
 
 from .groebner import Budget, Ideal, buchberger, colon_ideal, divide
@@ -55,25 +56,15 @@ class NonGradedError(Exception):
     pass
 
 
-def escapes_bracket_maximal(f: Polynomial, q: int, indices=None) -> bool:
-    """True iff f is NOT in m^[q] for m the ideal of the given variables.
+def _escaping_monomial(f: Polynomial, q: int, indices=None):
+    """The least exponent tuple of a term of f outside m^[q], for m the ideal
+    of the given variables (all by default); None when f lies in m^[q].
 
     m^[q] is the monomial ideal (x_i^q); membership is a termwise check.
     """
-    if indices is None:
-        return any(all(e < q for e in m) for m in f.terms)
-    idx = list(indices)
-    return any(all(m[i] < q for i in idx) for m in f.terms)
-
-
-def _escaping_monomial(f: Polynomial, q: int, indices=None):
-    for m in sorted(f.terms):
-        if indices is None:
-            if all(e < q for e in m):
-                return m
-        elif all(m[i] < q for i in indices):
-            return m
-    return None
+    idx = range(f.nvars) if indices is None else indices
+    return min((m for m in f.terms if all(m[i] < q for i in idx)),
+               default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +78,7 @@ def nu_value(f: Polynomial, e: int) -> int:
         raise DomainError("nu_value requires positive characteristic")
     if e < 1:
         raise ValueError("e must be >= 1")
-    zero_point = {i: 0 for i in range(f.nvars)}
-    if f.evaluate_partial(zero_point).constant_term() != 0:
+    if f.constant_term() != 0:
         raise PolyError("nu_value requires f in the maximal ideal")
     q = p ** e
     # f in m => f^t in m^t subseteq m^[q] once t > nvars*(q-1)
@@ -98,7 +88,8 @@ def nu_value(f: Polynomial, e: int) -> int:
 
     def power(t: int) -> Polynomial:
         """f^t mod m^[q]: m^[q] is a monomial ideal, so the terms with an
-        exponent >= q can be dropped after every multiplication."""
+        exponent >= q can be dropped after every multiplication.  What is
+        left escapes m^[q] unless it is zero."""
         if t not in powers:
             best = max(k for k in powers if k <= t)
             base = powers[best]
@@ -114,7 +105,7 @@ def nu_value(f: Polynomial, e: int) -> int:
     # binary search on the monotone predicate "f^t in m^[q]"
     while hi - lo > 1:
         mid = (hi + lo) // 2
-        if escapes_bracket_maximal(power(mid), q):
+        if not power(mid).is_zero():
             lo = mid
         else:
             hi = mid
@@ -515,15 +506,9 @@ def _small_combinations(k, bound: int = 4):
 
 
 def _integerize(w):
-    from math import gcd
-
-    lcm = 1
-    for x in w:
-        lcm = lcm * Fraction(x).denominator // gcd(lcm, Fraction(x).denominator)
-    ints = [int(Fraction(x) * lcm) for x in w]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    den = lcm(*(Fraction(x).denominator for x in w))
+    ints = [int(Fraction(x) * den) for x in w]
+    g = gcd(*ints)
     return tuple(x // (g or 1) for x in ints)
 
 

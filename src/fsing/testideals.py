@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import gcd
 
-from .groebner import Budget, Ideal, buchberger, ideal_power, ideal_product
+from .groebner import (Budget, Ideal, buchberger, divide, ideal_power,
+                       ideal_product)
 from .polycore import DomainError, Polynomial, ceil_frac
-from .frobenius import FrobeniusPower, embed_ideal_to_level, frobenius_root
+from .frobenius import (FrobeniusPower, decompose, embed_ideal_to_level,
+                        frobenius_root)
 from .triples import DivisorData, PresentationError, RingPresentation
 
 
@@ -113,51 +114,65 @@ def _summands(gamma: PLinearMap, I: Ideal, pairs, fiber_indices=None):
         yield J
 
 
+def _partial_sums(gamma: PLinearMap, I: Ideal, pairs, base=(),
+                  fiber_indices=None, budget: Budget | None = None):
+    """Yield (P_n, grew) for n = 0, 1, ..., with P_n = S_0 + ... + S_n, each
+    S_i pushed to level n (base exponents scaled by q^{n-i}).
+
+    P_n is P_{n-1} pushed one level plus S_n, interreduced; grew is False
+    exactly when S_n lies in the pushed P_{n-1}, so the chain has
+    stabilized there.  Without base variables nothing moves, and P_n is
+    P_{n-1} itself when it did not grow.
+
+    Containment needs no basis of the pushed ideal: B_n is free over the
+    pushed B_{n-1} on the base monomials t^r, 0 <= r < q, so g lies in the
+    pushed P_{n-1} iff every component g_r of g = sum_r t^r (g_r pushed)
+    lies in P_{n-1}, whose generators are a reduced Groebner basis.
+    """
+    q = gamma.power.q
+    summands = _summands(gamma, I, pairs, fiber_indices)
+    partial = _interreduce(list(next(summands).gens), budget)
+    yield partial, True
+    for summand in summands:
+        grew = any(divide(h, partial.gens, budget=budget)
+                   for g in summand.gens
+                   for h in decompose(g, q, base).values())
+        if grew or base:
+            pushed = embed_ideal_to_level(partial, base, gamma.power, 1)
+            partial = _interreduce(list(pushed.gens) + list(summand.gens),
+                                   budget)
+        yield partial, grew
+
+
 def _level_sum(gamma: PLinearMap, I: Ideal, pairs, n: int, base=(),
                fiber_indices=None, budget: Budget | None = None) -> Ideal:
-    """S_0 + ... + S_n with S_i pushed to level n (base exponents scaled
-    by q^{n-i}; nothing moves without base variables), interreduced once."""
-    gens = []
-    for i, summand in enumerate(islice(_summands(gamma, I, pairs,
-                                                 fiber_indices), n + 1)):
-        gens.extend(embed_ideal_to_level(summand, base, gamma.power,
-                                         n - i).gens)
-    return _interreduce(gens, budget)
+    """P_n of ``_partial_sums``: S_0 + ... + S_n pushed to level n."""
+    chain = _partial_sums(gamma, I, pairs, base, fiber_indices, budget)
+    return next(islice(chain, n, None))[0]
 
 
 def tau_absolute(gamma: PLinearMap, I: Ideal, a: Ideal, lam,
                  n_max: int, budget: Budget | None = None) -> TauResult:
     """Truncated absolute test ideal sum, with ascending-chain stabilization.
 
-    Stabilization is declared once two consecutive partial sums agree and
-    the next summand is contained; per the ascending-chain convention the
-    reported level is the first n with equal consecutive partial sums.
+    The reported level is the first n whose summand adds nothing to the
+    partial sum; it counts as stabilized only if the summand after n_max
+    adds nothing either.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise TestIdealError("lambda must be positive")
     if I.is_zero() or a.is_zero():
         raise TestIdealError("I and a must be nonzero")
-    summands = _summands(gamma, I, ((a, lam),))
-    partial = _interreduce(list(next(summands).gens), budget)
-    stabilization_level = None
-    for i in range(1, n_max + 1):
-        summand = next(summands)
-        if all(partial.contains(g, budget) for g in summand.gens):
-            nxt = partial
-        else:
-            nxt = _interreduce(list(partial.gens) + list(summand.gens), budget)
-        if stabilization_level is None and nxt.equals(partial, budget):
-            stabilization_level = i
-        partial = nxt
-    stabilized = False
-    if stabilization_level is not None:
-        # re-verify: adding the next summand does not change the ideal
-        stabilized = all(partial.contains(g, budget)
-                         for g in next(summands).gens)
-        if not stabilized:
-            stabilization_level = None
-    return TauResult(partial, n_max, stabilized, stabilization_level)
+    chain = _partial_sums(gamma, I, ((a, lam),), budget=budget)
+    level = None
+    for n, (partial, grew) in enumerate(islice(chain, n_max + 1)):
+        if level is None and not grew:
+            level = n
+    # re-verify: adding the next summand does not change the ideal
+    stabilized = level is not None and not next(chain)[1]
+    return TauResult(partial, n_max, stabilized,
+                     level if stabilized else None)
 
 
 def pair_multiplier(R: RingPresentation, delta: DivisorData,
@@ -222,15 +237,11 @@ class RelativeSetup:
         if self.I.is_zero() or self.a.is_zero():
             raise TestIdealError("I and a must be nonzero")
         # side condition: lambda (q-1) q^l integral for some l
-        den = self.lam.denominator
         q = self.phi.power.q
         p = self.phi.power.p
-        rem = den
-        for _ in range(64):
-            g = gcd(rem, p)
-            if g == 1:
-                break
-            rem //= g
+        rem = self.lam.denominator
+        while rem % p == 0:
+            rem //= p
         if (q - 1) % rem != 0:
             raise TestIdealError(
                 "lambda denominator does not divide (q-1) p^l; side condition fails")
@@ -275,23 +286,15 @@ def tau_relative(setup: RelativeSetup, n: int,
 
 def stabilization_scan(setup: RelativeSetup, n_max: int,
                        budget: Budget | None = None) -> TauResult:
-    """First n with tau_{n-1} B_n = tau_n, re-verified at the next level."""
-    base = setup.ring.base_vars
-    power = setup.phi.power
+    """First n <= n_max with tau_{n-1} B_n = tau_n, i.e. the level-n summand
+    adds nothing; the chain is not checked beyond that level."""
     guarantee = "proposition" if setup.skoda_guaranteed() else "no guarantee"
-    prev = tau_relative(setup, 0, budget)
-    found = None
-    current = prev
-    for n in range(1, n_max + 1):
-        current = tau_relative(setup, n, budget)
-        lifted_prev = embed_ideal_to_level(prev.ideal, base, power, 1)
-        if current.ideal.equals(lifted_prev, budget):
-            found = n
-            break
-        prev = current
-    if found is None:
-        return TauResult(current.ideal, n_max, False, None, guarantee)
-    return TauResult(current.ideal, found, True, found, guarantee)
+    chain = _partial_sums(setup.phi, setup.I, ((setup.a, setup.lam),),
+                          setup.ring.base_vars, setup.fiber_indices, budget)
+    for n, (partial, grew) in enumerate(islice(chain, n_max + 1)):
+        if not grew:
+            return TauResult(partial, n, True, n, guarantee)
+    return TauResult(partial, n_max, False, None, guarantee)
 
 
 def base_change_check(setup: RelativeSetup, substitution, new_ring: RingPresentation,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .groebner import Ideal
 from .polycore import CoefficientDomain, Polynomial
@@ -32,9 +32,8 @@ class RingPresentation:
     def __post_init__(self):
         if self.relations.domain != self.domain or self.relations.nvars != self.nvars:
             raise PresentationError("relations live in a different ring")
-        zero_point = {i: 0 for i in range(self.nvars)}
         for g in self.relations.gens:
-            if g.evaluate_partial(zero_point).constant_term() != 0:
+            if g.constant_term() != 0:
                 raise PresentationError(
                     "relations must vanish at the distinguished point")
         if any(not 0 <= i < self.nvars for i in self.base_vars):
@@ -116,10 +115,7 @@ class DivisorData:
 
     def index_denominator(self) -> int:
         """lcm of the coefficient denominators (the Cartier-index datum)."""
-        d = 1
-        for _, c in self.components:
-            d = d * c.denominator // gcd(d, c.denominator)
-        return d
+        return lcm(*(c.denominator for _, c in self.components))
 
     def map_components(self, fn) -> "DivisorData":
         return DivisorData(tuple((fn(g), c) for g, c in self.components))
@@ -165,6 +161,4 @@ class TripleSpec:
 
     def index_denominator(self) -> int:
         """Denominator data gating test-ideal logic: lcm over Delta and lambda."""
-        d = self.delta.index_denominator()
-        den = self.lam.denominator
-        return d * den // gcd(d, den)
+        return lcm(self.delta.index_denominator(), self.lam.denominator)

@@ -12,6 +12,9 @@ from fsing.polycore import Polynomial, ceil_frac, prime_field
 from fsing.testideals import TestIdealError as TauError
 from fsing.testideals import (
     PLinearMap,
+    _interreduce,
+    _level_sum,
+    _partial_sums,
     _summands,
     RelativeSetup,
     base_change_check,
@@ -325,7 +328,7 @@ class TestSharpFPurityLink:
     @pytest.mark.parametrize("eps", [Fraction(1), Fraction(1, 2), Fraction(1, 6)])
     def test_principal_pair_fixtures(self, eps):
         from fsing.fcriteria import sharply_fpure
-        from fsing.testideals import _level_sum, pair_multiplier
+        from fsing.testideals import pair_multiplier
         from fsing.triples import TripleSpec, divisor
 
         fixtures = [
@@ -430,3 +433,19 @@ class TestNestedSummands:
         got = list(islice(_summands(gamma, I, pairs, fiber), count))
         for i, (a, b) in enumerate(zip(got, want)):
             assert a.equals(b), i
+        # the partial-sum chain: P_n is the interreduced literal sum pushed
+        # to level n, and it grew exactly when S_n is not in the pushed P_{n-1}
+        base = (0,) if relative else ()
+
+        def literal_sum(n, k):
+            """The generators of S_0..S_k, each S_i pushed to level n."""
+            return [g for i in range(k + 1) for g in embed_ideal_to_level(
+                want[i], base, gamma.power, n - i).gens]
+
+        chain = islice(_partial_sums(gamma, I, pairs, base, fiber), count)
+        for n, (partial, grew) in enumerate(chain):
+            assert partial.gens == _interreduce(literal_sum(n, n)).gens, n
+            assert _level_sum(gamma, I, pairs, n, base, fiber).gens \
+                == partial.gens, n
+            pushed = Ideal(dom, nvars, literal_sum(n, n - 1))
+            assert grew == (not pushed.contains_ideal(want[n])), n
