@@ -127,11 +127,11 @@ def reduce_mod_p(model: ArithmeticModel, p: int) -> TripleSpec:
     return TripleSpec(ring, DivisorData(tuple(comps)), a, model.origin.lam)
 
 
-def suggest_primes(model: ArithmeticModel, count: int = 5, start: int = 2):
-    """The smallest ``count`` non-excluded primes (one good prime suffices)."""
+def suggest_primes(model: ArithmeticModel):
+    """The five smallest non-excluded primes (one good prime suffices)."""
     out = []
-    p = start
-    while len(out) < count:
+    p = 2
+    while len(out) < 5:
         if _is_prime(p) and model.good_prime(p):
             out.append(p)
         p += 1

@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from .groebner import Budget, Ideal, buchberger, colon_ideal, divide
-from .polycore import (GREVLEX, DomainError, Polynomial, PolyError, ceil_frac,
-                       mono_mul)
+from .polycore import GREVLEX, DomainError, Polynomial, PolyError, ceil_frac
 from .frobenius import FrobeniusPower, bracket_power, decompose
 from .triples import DivisorData, RingPresentation, TripleSpec
 
@@ -302,27 +301,17 @@ def strongly_fregular(spec: TripleSpec, c: Polynomial, e_max: int,
 
 
 def _partial_derivative(f: Polynomial, i: int) -> Polynomial:
-    dom = f.domain
+    # lowering the i-th exponent is injective, so no two terms meet
+    p = f.domain.p
     terms: dict = {}
     for m, c in f.terms.items():
-        e = m[i]
-        if e == 0:
-            continue
-        coeff = dom.mul(c, dom.normalize(e))
-        if coeff == 0:
-            continue
-        new_m = tuple(v - 1 if j == i else v for j, v in enumerate(m))
-        acc = dom.add(terms.get(new_m, dom.zero()), coeff)
-        if acc == 0:
-            terms.pop(new_m, None)
-        else:
-            terms[new_m] = acc
-    return Polynomial(dom, f.nvars, terms, _clean=True)
+        c = c * m[i] % p if p else c * m[i]
+        if c:
+            terms[m[:i] + (m[i] - 1,) + m[i + 1:]] = c
+    return Polynomial(f.domain, f.nvars, terms, _clean=True)
 
 
 def _minors(rows, size, ring):
-    from itertools import combinations
-
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     for ri in combinations(range(nrows), size):
@@ -348,8 +337,6 @@ def ring_dimension(ring: RingPresentation, budget: Budget | None = None) -> int:
     dim = size of a largest variable subset S with no GB leading monomial
     supported entirely inside S (combinatorial, fine for few variables).
     """
-    from itertools import combinations
-
     if ring.is_regular_ambient:
         return ring.nvars
     gb = ring.relations.groebner_basis(GREVLEX, budget)
@@ -388,9 +375,9 @@ def singular_locus_ideal(ring: RingPresentation,
     return Ideal(ring.domain, ring.nvars, gens + minors)
 
 
-def suggest_test_elements(ring: RingPresentation, max_candidates: int = 8,
+def suggest_test_elements(ring: RingPresentation,
                           budget: Budget | None = None):
-    """Candidates for a test element (suggestions only).
+    """Up to eight candidates for a test element (suggestions only).
 
     An element is a valid choice when it vanishes on the non-regular locus;
     the helper proposes (a) single variables and low-degree monomials with a
@@ -427,7 +414,7 @@ def suggest_test_elements(ring: RingPresentation, max_candidates: int = 8,
     for m in sing.gens:
         consider(m)
     out.sort(key=lambda f: (f.total_degree(), f.sort_key()))
-    return out[:max_candidates]
+    return out[:8]
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +483,6 @@ def _kernel_basis(rows, nvars):
 
 
 def _small_combinations(k, bound: int = 4):
-    from itertools import product
-
     # all-ones first: the common case
     yield (1,) * k
     for combo in product(range(-bound, bound + 1), repeat=k):
@@ -579,9 +564,7 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
     unknowns = []     # list of (residue b, monomial of v_b)
     block_index = {}  # residue -> {monomial: column}
     truncated = False
-    from itertools import product as iproduct
-
-    for b in iproduct(range(q), repeat=nvars):
+    for b in product(range(q), repeat=nvars):
         wb = sum(w * e for w, e in zip(weights, b))
         num = wb - deg_d
         if num < 0 or num % q:
@@ -630,7 +613,7 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
                 continue
             for mono, col in cols.items():
                 for a, c in w_poly.terms.items():
-                    for mm, cc in nf_monomial(mono_mul(a, mono)).items():
+                    for mm, cc in nf_monomial(tuple(map(add, a, mono))).items():
                         row = acc.setdefault(mm, {})
                         row[col] = (row.get(col, 0) + c * cc) % p
         rhs = nf(rhs_poly)
@@ -646,7 +629,7 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
     equations = []
     # descent conditions: psi(x^b h_j) in I
     for h in ring.relations.gens:
-        for b in iproduct(range(q), repeat=nvars):
+        for b in product(range(q), repeat=nvars):
             shifted = Polynomial.monomial(dom, nvars, b) * h
             parts = [(w_poly, r) for r, w_poly in decompose(shifted, q).items()
                      if r in block_index]

@@ -368,11 +368,9 @@ class Ideal:
     def is_zero(self) -> bool:
         return not self.gens
 
-    def unit_test_poly(self) -> Polynomial:
-        return Polynomial.constant(self.domain, self.nvars, 1)
-
     def is_unit(self, budget: Budget | None = None) -> bool:
-        return self.contains(self.unit_test_poly(), budget=budget)
+        return self.contains(Polynomial.constant(self.domain, self.nvars, 1),
+                             budget=budget)
 
     def groebner_basis(self, order: MonomialOrder = GREVLEX,
                        budget: Budget | None = None):

@@ -4,6 +4,12 @@ Polynomials are immutable term maps (exponent tuple -> nonzero coefficient).
 Coefficients are ``fractions.Fraction`` over the rationals and canonical
 residues in ``[0, p-1]`` over a prime field.  Variables are positional;
 names are display metadata supplied by callers.
+
+Every term loop, here and in the Groebner kernel, uses one coefficient
+rule: a sum or product ``c`` is stored as ``c % p if p else c``, with ``p``
+the domain's prime (None over Q); monomials multiply as
+``tuple(map(add, a, b))``.  The parser builds a product of names and
+numbers as one term; only parenthesised factors multiply Polynomials.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class PolyError(Exception):
@@ -88,18 +94,6 @@ class CoefficientDomain:
             return self.from_fraction(c)
         return int(c) % self.p
 
-    def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
-
-    def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
-
-    def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
-
     def inv(self, a):
         if self.p is None:
             if a == 0:
@@ -124,11 +118,6 @@ def prime_field(p: int) -> CoefficientDomain:
 # Monomials: plain exponent tuples; the Groebner kernel packs them into ints.
 
 Monomial = tuple
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    # map() over two tuples runs in C; this sits in the inner loop of __mul__
-    return tuple(map(add, a, b))
 
 
 class PackingOverflow(Exception):
@@ -298,6 +287,7 @@ class Polynomial:
         if _clean:
             self.terms = dict(terms)
             return
+        p = domain.p
         clean: dict = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for mono, coeff in items:
@@ -306,7 +296,7 @@ class Polynomial:
                 raise PolyError(f"bad exponent vector {mono} for {nvars} variables")
             c = domain.normalize(coeff)
             if mono in clean:
-                c = domain.add(clean[mono], c)
+                c = (clean[mono] + c) % p if p else clean[mono] + c
             if c == 0:
                 clean.pop(mono, None)
             else:
@@ -364,24 +354,28 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             other = Polynomial.constant(self.domain, self.nvars, other)
         self._check_compatible(other)
-        dom = self.domain
+        p = self.domain.p
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = dom.add(res.get(m, dom.zero()), c)
-            if s == 0:
-                res.pop(m, None)
+            w = res.get(m)
+            if w is None:
+                res[m] = c
             else:
-                res[m] = s
-        return Polynomial(dom, self.nvars, res, _clean=True)
+                s = (w + c) % p if p else w + c
+                if s:
+                    res[m] = s
+                else:
+                    del res[m]
+        return Polynomial(self.domain, self.nvars, res, _clean=True)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        dom = self.domain
-        return Polynomial(dom, self.nvars,
-                          {m: dom.neg(c) for m, c in self.terms.items()},
-                          _clean=True)
+        p = self.domain.p
+        return Polynomial(self.domain, self.nvars,
+                          {m: -c % p if p else -c
+                           for m, c in self.terms.items()}, _clean=True)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -392,32 +386,36 @@ class Polynomial:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        p = self.domain.p
         if not isinstance(other, Polynomial):
             c = self.domain.normalize(other)
             if c == 0:
                 return Polynomial.zero(self.domain, self.nvars)
-            dom = self.domain
-            res = Polynomial(dom, self.nvars,
-                             {m: dom.mul(v, c) for m, v in self.terms.items()},
-                             _clean=True)
+            res = Polynomial(self.domain, self.nvars,
+                             {m: v * c % p if p else v * c
+                              for m, v in self.terms.items()}, _clean=True)
             if self._lm is not None:    # same support, same leading monomial
                 res._lm = (self._lm[0], self._lm[1], None, None)
             return res
         self._check_compatible(other)
-        dom = self.domain
         res: dict = {}
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
         for m1, c1 in a.items():
             for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                s = dom.add(res.get(m, dom.zero()), dom.mul(c1, c2))
-                if s == 0:
-                    res.pop(m, None)
+                m = tuple(map(add, m1, m2))
+                w = res.get(m)
+                # a product of nonzero coefficients is nonzero (p is prime)
+                if w is None:
+                    res[m] = c1 * c2 % p if p else c1 * c2
                 else:
-                    res[m] = s
-        return Polynomial(dom, self.nvars, res, _clean=True)
+                    s = (w + c1 * c2) % p if p else w + c1 * c2
+                    if s:
+                        res[m] = s
+                    else:
+                        del res[m]
+        return Polynomial(self.domain, self.nvars, res, _clean=True)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -505,9 +503,6 @@ class Polynomial:
     def coefficient(self, mono: Monomial):
         return self.terms.get(tuple(mono), self.domain.zero())
 
-    def monomials(self) -> Iterator[Monomial]:
-        return iter(self.terms)
-
     # -- substitutions -----------------------------------------------------
 
     def scale_exponents(self, indices, factor: int) -> "Polynomial":
@@ -555,24 +550,28 @@ class Polynomial:
     def evaluate_partial(self, values: dict) -> "Polynomial":
         """Substitute constants for some variables (index -> coefficient)."""
         dom = self.domain
+        p = dom.p
         res: dict = {}
         for m, c in self.terms.items():
-            coeff = c
             new_m = list(m)
             for i, v in values.items():
                 e = m[i]
                 if e:
-                    coeff = dom.mul(coeff, dom.normalize(v) ** e if dom.is_rational
-                                    else pow(dom.normalize(v), e, dom.p))
+                    v = dom.normalize(v)
+                    c = c * pow(v, e, p) % p if p else c * v ** e
                 new_m[i] = 0
-            if coeff == 0:
+            if c == 0:
                 continue
             key = tuple(new_m)
-            s = dom.add(res.get(key, dom.zero()), coeff)
-            if s == 0:
-                res.pop(key, None)
+            w = res.get(key)
+            if w is None:
+                res[key] = c
             else:
-                res[key] = s
+                s = (w + c) % p if p else w + c
+                if s:
+                    res[key] = s
+                else:
+                    del res[key]
         return Polynomial(dom, self.nvars, res, _clean=True)
 
     def drop_variables(self, indices) -> "Polynomial":
@@ -652,8 +651,7 @@ def default_variable_names(nvars: int):
 # Parser for the expression grammar:
 #   expr     := sign? term (('+'|'-') term)*
 #   term     := factor ('*' factor)*
-#   factor   := base ('^' nat)?
-#   base     := name | rational | '(' expr ')'
+#   factor   := (name | rational | '(' expr ')') ('^' nat)?
 #   rational := int ('/' nat)?
 # Whitespace is insignificant; implicit multiplication is a syntax error.
 
@@ -710,6 +708,7 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
     names = list(variables)
     index = {n: i for i, n in enumerate(names)}
     nvars = len(names)
+    p = domain.p
     tok = _Tokenizer(text)
 
     def parse_expr() -> Polynomial:
@@ -721,80 +720,81 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
             negate = kind == "-"
             if kind in ("+", "-"):
                 tok.next()
-            for m, c in parse_term().terms.items():
+            for m, c in parse_term().items():
                 if negate:
-                    c = domain.neg(c)
-                if m not in acc:
+                    c = -c % p if p else -c
+                w = acc.get(m)
+                if w is None:
                     acc[m] = c
-                    continue
-                s = domain.add(acc[m], c)
-                if s == 0:
-                    del acc[m]
                 else:
-                    acc[m] = s
+                    s = (w + c) % p if p else w + c
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
             kind, _, _ = tok.peek()
             if kind not in ("+", "-"):
                 return Polynomial(domain, nvars, acc, _clean=True)
 
-    def parse_term() -> Polynomial:
-        result = parse_factor()
+    def parse_term() -> dict:
+        """The terms of one product.  Its names and numbers build one
+        exponent vector and one coefficient; only parenthesised factors
+        are multiplied as Polynomials."""
+        mono = [0] * nvars
+        coeff = domain.one()
+        product = None
         while True:
-            kind, _, _ = tok.peek()
-            if kind == "*":
-                tok.next()
-                result = result * parse_factor()
+            kind, value, pos = tok.next()
+            if kind == "name":
+                if value not in index:
+                    raise ParseError(f"unknown identifier {value!r}", pos)
+                mono[index[value]] += parse_exponent()
+            elif kind == "int":
+                c = int(value)
+                if tok.peek()[0] == "/":
+                    tok.next()
+                    k, v, pos = tok.next()
+                    if k != "int":
+                        raise ParseError("expected a natural number after '/'",
+                                         pos)
+                    if int(v) == 0:
+                        raise ParseError("division by zero", pos)
+                    try:
+                        c = domain.normalize(Fraction(c, int(v)))
+                    except DomainError as exc:
+                        raise ParseError(str(exc), pos) from exc
+                else:
+                    c = domain.normalize(c)
+                k = parse_exponent()
+                coeff = coeff * pow(c, k, p) % p if p else coeff * c ** k
+            elif kind == "(":
+                inner = parse_expr()
+                k, _, pos = tok.next()
+                if k != ")":
+                    raise ParseError("expected ')'", pos)
+                inner = inner ** parse_exponent()
+                product = inner if product is None else product * inner
             else:
-                return result
+                raise ParseError(f"unexpected token {value!r}", pos)
+            if tok.peek()[0] != "*":
+                break
+            tok.next()
+        if coeff == 0:
+            return {}
+        term = {tuple(mono): coeff}
+        if product is None:
+            return term
+        return (product * Polynomial(domain, nvars, term, _clean=True)).terms
 
-    def parse_exponent() -> int | None:
-        """The natural number after a '^', or None when no '^' follows."""
+    def parse_exponent() -> int:
+        """The natural number after a '^', or 1 when no '^' follows."""
         if tok.peek()[0] != "^":
-            return None
+            return 1
         tok.next()
         k, v, pos = tok.next()
         if k != "int":
             raise ParseError("expected a natural number after '^'", pos)
         return int(v)
-
-    def parse_factor() -> Polynomial:
-        kind, value, pos = tok.peek()
-        if kind == "name":
-            # a variable power is a monomial: build it, do not multiply
-            tok.next()
-            if value not in index:
-                raise ParseError(f"unknown identifier {value!r}", pos)
-            k = parse_exponent()
-            return Polynomial.variable(domain, nvars, index[value],
-                                       1 if k is None else k)
-        base = parse_base()
-        k = parse_exponent()
-        return base if k is None else base ** k
-
-    def parse_base() -> Polynomial:
-        kind, value, pos = tok.next()
-        if kind == "int":
-            num = int(value)
-            k, _, _ = tok.peek()
-            if k == "/":
-                tok.next()
-                k2, v2, pos2 = tok.next()
-                if k2 != "int":
-                    raise ParseError("expected a natural number after '/'", pos2)
-                den = int(v2)
-                if den == 0:
-                    raise ParseError("division by zero", pos2)
-                try:
-                    return Polynomial.constant(domain, nvars, Fraction(num, den))
-                except DomainError as exc:
-                    raise ParseError(str(exc), pos2) from exc
-            return Polynomial.constant(domain, nvars, num)
-        if kind == "(":
-            inner = parse_expr()
-            k, _, pos2 = tok.next()
-            if k != ")":
-                raise ParseError("expected ')'", pos2)
-            return inner
-        raise ParseError(f"unexpected token {value!r}", pos)
 
     result = parse_expr()
     kind, value, pos = tok.peek()

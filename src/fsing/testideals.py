@@ -175,11 +175,10 @@ def tau_absolute(gamma: PLinearMap, I: Ideal, a: Ideal, lam,
                      level if stabilized else None)
 
 
-def pair_multiplier(R: RingPresentation, delta: DivisorData,
-                    e_cap: int = 24) -> tuple:
+def pair_multiplier(R: RingPresentation, delta: DivisorData) -> tuple:
     """(q, u, I) realizing the pair (R, Delta) as a multiplier map.
 
-    Picks the least e with (p^e - 1) * c_i integral for all components,
+    Picks the least e <= 24 with (p^e - 1) * c_i integral for all components,
     sets u = prod g_i^{c_i (q-1)} and I = (prod g_i^{ceil c_i}), a test
     element ideal inside tau(R, Delta).
     """
@@ -195,8 +194,8 @@ def pair_multiplier(R: RingPresentation, delta: DivisorData,
     e = 1
     while (p ** e - 1) % den != 0:
         e += 1
-        if e > e_cap:
-            raise TestIdealError(f"no q = p^e with e <= {e_cap} makes (q-1)Delta integral")
+        if e > 24:
+            raise TestIdealError("no q = p^e with e <= 24 makes (q-1)Delta integral")
     q = p ** e
     u = R.constant(1)
     test = R.constant(1)
@@ -342,10 +341,9 @@ class FiberCompareResult:
 
 
 def fiber_compare(setup: RelativeSetup, n: int, point,
-                  n_max_fiber: int | None = None,
                   budget: Budget | None = None) -> FiberCompareResult:
     """Specialize tau_n at a perfect point of V and compare with the
-    absolute test ideal of the fiber.
+    absolute test ideal of the fiber, summed up to level max(n, 3).
 
     ``point`` maps base variable index -> F_p value.  Over F_p the q-th
     root of a scalar is itself, so level-n base coordinates specialize to
@@ -376,9 +374,7 @@ def fiber_compare(setup: RelativeSetup, n: int, point,
     fiber_I = Ideal(dom, nf, [g for g in I_f if not g.is_zero()])
     fiber_a = Ideal(dom, nf, [g for g in a_f if not g.is_zero()])
     gamma = PLinearMap(setup.phi.power, u_f)
-    if n_max_fiber is None:
-        n_max_fiber = max(n, 3)
-    absolute = tau_absolute(gamma, fiber_I, fiber_a, setup.lam, n_max_fiber,
+    absolute = tau_absolute(gamma, fiber_I, fiber_a, setup.lam, max(n, 3),
                             budget)
 
     rel = tau_relative(setup, n, budget)

@@ -1,5 +1,6 @@
 """Polynomial layer: parsing, arithmetic, canonical forms."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,13 @@ from fsing.polycore import (
     poly_power,
     prime_field,
 )
+
+try:
+    import sympy as sp
+
+    HAVE_SYMPY = True
+except ImportError:  # pragma: no cover
+    HAVE_SYMPY = False
 
 F2 = prime_field(2)
 F3 = prime_field(3)
@@ -254,3 +262,114 @@ class TestLeadingMonomialCache:
                 if h:
                     assert h.leading_monomial(order) == \
                         max(h.terms, key=order.key)
+
+
+# Differential tests against sympy's expansion over Q; an F_p answer is the
+# image of the Q answer, since every denominator used is a unit mod p.
+XYZ = ["x", "y", "z"]
+PRIMES = [None, 2, 3, 5, 7]
+# exponents up to 2 in three variables, so products and sums often collide
+mono_small = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+def _expected(sympy_poly, p):
+    """The term map of a sympy Q-polynomial, reduced into F_p for p."""
+    out = {}
+    for m, c in sympy_poly.as_dict().items():
+        c = Fraction(int(c.p), int(c.q))
+        if p:
+            c = c.numerator * pow(c.denominator, -1, p) % p
+        if c:
+            out[m] = c
+    return out
+
+
+def _to_sympy(f, gens):
+    return sp.Poly.from_dict(
+        {m: sp.Rational(c.numerator, c.denominator) if isinstance(c, Fraction)
+         else c for m, c in f.terms.items()}, *gens, domain="QQ")
+
+
+@st.composite
+def poly_triples(draw):
+    p = draw(st.sampled_from(PRIMES))
+    dom = RATIONALS if p is None else prime_field(p)
+    coeff = coeff_q if p is None else st.integers(-p, 2 * p)
+    polys = [Polynomial(dom, 3, draw(st.lists(st.tuples(mono_small, coeff),
+                                              max_size=6)))
+             for _ in range(3)]
+    return p, polys
+
+
+def _number(dens):
+    """An int or rational literal, possibly raised to a power."""
+    return st.builds(
+        lambda n, d, k: (f"{n}/{d}" if d > 1 else str(n)) + k,
+        st.integers(0, 12), st.sampled_from(dens),
+        st.sampled_from(["", "^0", "^2", "^3"]))
+
+
+def _texts(dens):
+    """Unexpanded expressions: signed sums of products of numbers, name^k
+    and parenthesised sums, possibly raised to a power, nested at most two
+    deep so that every expansion stays small."""
+    name = st.builds(lambda v, k: v + k, st.sampled_from(XYZ),
+                     st.sampled_from(["", "^0", "^1", "^2", "^3"]))
+
+    def expr(factor, size):
+        term = st.lists(factor, min_size=1, max_size=size).map("*".join)
+        signed = st.builds(lambda sign, t: sign + t,
+                           st.sampled_from([" + ", " - "]), term)
+        return st.builds(lambda first, rest: first + "".join(rest),
+                         st.builds(lambda sign, t: sign + t,
+                                   st.sampled_from(["", "-"]), term),
+                         st.lists(signed, max_size=size - 1))
+
+    def paren(inner, powers):
+        return st.builds(lambda e, k: f"({e}){k}", inner,
+                         st.sampled_from(powers))
+
+    leaf = _number(dens) | name
+    inner = paren(expr(leaf, 3), ["", "^0", "^2", "^3"])
+    outer = paren(expr(leaf | inner, 2), ["", "^0", "^2"])
+    return expr(leaf | inner | outer, 3)
+
+
+@st.composite
+def parse_cases(draw):
+    p = draw(st.sampled_from(PRIMES))
+    dens = [d for d in range(1, 7) if p is None or d % p]
+    return p, draw(_texts(dens))
+
+
+@pytest.mark.skipif(not HAVE_SYMPY, reason="sympy oracle unavailable")
+class TestAgainstSympy:
+    @given(poly_triples())
+    @settings(max_examples=80, deadline=None)
+    def test_ring_operations(self, case):
+        p, (a, b, c) = case
+        gens = sp.symbols("x y z")
+        A, B, C = (_to_sympy(f, gens) for f in (a, b, c))
+        pairs = [
+            (a * b, A * B),
+            (a + b, A + B),
+            (-a, -A),
+            ((a + b) - a, B),
+            ((a + b) * (a - b), A ** 2 - B ** 2),
+            (a * b - b * a, A - A),
+            (a * (b + c) - a * c, A * B),
+            (a * 3, A * 3),
+        ]
+        for got, want in pairs:
+            assert got.terms == _expected(want, p)
+
+    @given(parse_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_parse_matches_expansion(self, case):
+        p, text = case
+        dom = RATIONALS if p is None else prime_field(p)
+        gens = sp.symbols("x y z")
+        # sympy reads n/d^k as n/(d^k): bracket each rational literal
+        sympy_text = re.sub(r"(\d+/\d+)", r"(\1)", text).replace("^", "**")
+        want = sp.Poly(sp.sympify(sympy_text), *gens, domain="QQ")
+        assert parse_polynomial(text, XYZ, dom).terms == _expected(want, p)

@@ -85,6 +85,16 @@ class TestTauAbsolute:
         assert res.stabilized
         assert res.stabilization_level is not None
 
+    def test_failed_recheck_resets_level(self):
+        # S_1 adds nothing, so level 1 is recorded; S_2 then grows the sum,
+        # so the re-check past n_max fails and no level may be reported
+        R = line(2)
+        gamma = PLinearMap(FrobeniusPower(2, 1), R.parse("x^2 + 1"))
+        res = tau_absolute(gamma, unit_ideal(R), R.ideal([R.parse("x^2")]),
+                           Fraction(2, 3), 1)
+        assert not res.stabilized
+        assert res.stabilization_level is None
+
 
 class TestTauPairDivisor:
     def test_half_divisor_is_klt(self):
