@@ -32,7 +32,7 @@ from .fcriteria import (
     sharply_fpure,
     strongly_fregular,
 )
-from .groebner import Budget, BudgetExceededError, Ideal
+from .groebner import DEFAULT_GB_BUDGET, Budget, BudgetExceededError, Ideal
 from .polycore import RATIONALS, Polynomial, prime_field, parse_polynomial
 from .testideals import tau_pair_divisor
 from .triples import (
@@ -67,7 +67,7 @@ class JobSpec:
     mode: str                       # lc | klt | sfr | gsfr | deform | fpt | tau
     prime: int | None = None
     e_max: int = 2
-    gb_budget: int = 10**7          # reduction steps, per prime tried
+    gb_budget: int = DEFAULT_GB_BUDGET  # reduction steps, per prime tried
     test_element: Polynomial | None = None
     assert_q_gorenstein: bool = False
     level: int = 0                  # gsfr perfection level
@@ -426,17 +426,13 @@ def parse_input(data: dict) -> TripleSpec:
 
 def parse_job(data: dict, mode: str | None = None, **overrides) -> JobSpec:
     spec = parse_input(data)
-    job = JobSpec(
-        spec,
-        mode or data.get("mode", "lc"),
-        prime=data.get("prime"),
-        e_max=int(data.get("e_max", 2)),
-        gb_budget=int(data.get("gb_budget", 10**7)),
-        assert_q_gorenstein=bool(data.get("assert_q_gorenstein", False)),
-        level=int(data.get("level", 0)),
-        n_max=int(data.get("n_max", 4)),
-        name=data.get("name", "job"),
-    )
+    # keys absent from the input keep JobSpec's defaults
+    casts = {"prime": None, "e_max": int, "gb_budget": int,
+             "assert_q_gorenstein": bool, "level": int, "n_max": int,
+             "name": None}
+    job = JobSpec(spec, mode or data.get("mode", "lc"),
+                  **{key: cast(data[key]) if cast else data[key]
+                     for key, cast in casts.items() if key in data})
     if "test_element" in data:
         job.test_element = parse_polynomial(data["test_element"],
                                             list(data["variables"]),

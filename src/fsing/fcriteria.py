@@ -24,7 +24,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 from operator import add, mul
 
-from .groebner import Budget, Ideal, buchberger, colon_ideal, divide
+from .groebner import Budget, Ideal, buchberger, colon_ideal
 from .polycore import GREVLEX, DomainError, Polynomial, PolyError, ceil_frac
 from .frobenius import FrobeniusPower, bracket_power, decompose
 from .triples import DivisorData, RingPresentation, TripleSpec
@@ -181,15 +181,15 @@ def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
         f = gens[0]
         return [_power_q_minus_one(f, power)
                 * ring.domain.inv(f.leading_coefficient(GREVLEX))]
-    closed_form = complete_intersection(ring, budget)
-    # after the recogniser, so the bracket inherits the relations' basis
-    bracket = bracket_power(ring.relations, power)
-    if closed_form:
-        seed = bracket.groebner_basis(GREVLEX, budget)
+    if complete_intersection(ring, budget):
+        # a reduced basis powers up to a reduced basis of I^[q]
+        seed = [g.frobenius_power(power.q)
+                for g in ring.relations.groebner_basis(GREVLEX, budget)]
         return list(buchberger(
-            seed + (_power_q_minus_one(reduce(mul, gens), power),),
+            seed + [_power_q_minus_one(reduce(mul, gens), power)],
             GREVLEX, budget))
-    return list(colon_ideal(bracket, ring.relations, budget).gens)
+    return list(colon_ideal(bracket_power(ring.relations, power),
+                            ring.relations, budget).gens)
 
 
 def _power_q_minus_one(f: Polynomial, power: FrobeniusPower) -> Polynomial:
@@ -585,13 +585,7 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
     if not unknowns:
         return ("bound_too_small" if truncated else "fails"), None
 
-    gb = ring.relations.groebner_basis(GREVLEX)
-
-    def nf(f: Polynomial) -> Polynomial:
-        if not gb:
-            return f
-        return divide(f, gb, GREVLEX)
-
+    nf = ring.relations.normal_form
     # nf is linear, so each monomial's normal form is computed once
     nf_terms: dict = {}
 

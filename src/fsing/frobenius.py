@@ -58,12 +58,8 @@ def _check_char(obj, p: int):
 def bracket_power(I: Ideal, power: FrobeniusPower) -> Ideal:
     """a^[q]: the ideal generated by q-th powers of the generators."""
     _check_char(I, power.p)
-    q = power.q
-    result = Ideal(I.domain, I.nvars, [g.frobenius_power(q) for g in I.gens])
-    # a reduced GB powers up to a reduced GB of the bracket ideal
-    for token, gb in I._gb_cache.items():
-        result._gb_cache[token] = tuple(g.frobenius_power(q) for g in gb)
-    return result
+    return Ideal(I.domain, I.nvars,
+                 [g.frobenius_power(power.q) for g in I.gens])
 
 
 def decompose(f: Polynomial, q: int, root_indices=None) -> dict:

@@ -362,6 +362,15 @@ class Ideal:
         return cls(polys[0].domain, polys[0].nvars, polys)
 
     @classmethod
+    def reduced(cls, gens, budget: Budget | None = None) -> "Ideal":
+        """The ideal generated by the reduced grevlex basis of ``gens``,
+        which it keeps as its grevlex basis."""
+        gb = buchberger(gens, GREVLEX, budget)
+        ideal = cls.from_polys(gb or gens)
+        ideal._gb_cache[GREVLEX.cache_token()] = gb
+        return ideal
+
+    @classmethod
     def zero(cls, domain, nvars):
         return cls(domain, nvars, ())
 

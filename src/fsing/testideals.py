@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-from .groebner import (Budget, Ideal, buchberger, divide, ideal_power,
-                       ideal_product)
+from .groebner import Budget, Ideal, ideal_power, ideal_product
+# not called here: perfbench/selftest.py checks that the tracer rebinds
+# this imported name
+from .groebner import buchberger  # noqa: F401
 from .polycore import DomainError, Polynomial, ceil_frac
 from .frobenius import (FrobeniusPower, decompose, embed_ideal_to_level,
                         frobenius_root)
@@ -57,17 +59,11 @@ class TauResult:
     truncation_level: int
     stabilized: bool
     stabilization_level: int | None = None
-    guarantee: str = "empirical"  # "proposition" | "empirical" | "none"
+    # "proposition" | "empirical" | "no guarantee"
+    guarantee: str = "empirical"
 
     def generators(self):
         return self.ideal.gens
-
-
-def _interreduce(gens, budget=None) -> Ideal:
-    if not gens:
-        raise TestIdealError("empty generator list")
-    dom, nvars = gens[0].domain, gens[0].nvars
-    return Ideal(dom, nvars, buchberger(gens, budget=budget))
 
 
 def _summands(gamma: PLinearMap, I: Ideal, pairs, fiber_indices=None):
@@ -119,29 +115,31 @@ def _partial_sums(gamma: PLinearMap, I: Ideal, pairs, base=(),
     """Yield (P_n, grew) for n = 0, 1, ..., with P_n = S_0 + ... + S_n, each
     S_i pushed to level n (base exponents scaled by q^{n-i}).
 
-    P_n is P_{n-1} pushed one level plus S_n, interreduced; grew is False
-    exactly when S_n lies in the pushed P_{n-1}, so the chain has
-    stabilized there.  Without base variables nothing moves, and P_n is
-    P_{n-1} itself when it did not grow.
+    Each P_n is an ``Ideal.reduced``, so it carries its grevlex basis.
+    The generators of S_n that are new, those outside the pushed P_{n-1},
+    are found first; P_n is the pushed P_{n-1} plus the new generators,
+    interreduced, which is the same ideal as with all of S_n.  grew is
+    False exactly when nothing is new, so the chain has stabilized there.
+    Without base variables nothing moves, and P_n is P_{n-1} itself when
+    it did not grow.
 
     Containment needs no basis of the pushed ideal: B_n is free over the
     pushed B_{n-1} on the base monomials t^r, 0 <= r < q, so g lies in the
     pushed P_{n-1} iff every component g_r of g = sum_r t^r (g_r pushed)
-    lies in P_{n-1}, whose generators are a reduced Groebner basis.
+    lies in P_{n-1}.
     """
     q = gamma.power.q
     summands = _summands(gamma, I, pairs, fiber_indices)
-    partial = _interreduce(list(next(summands).gens), budget)
+    partial = Ideal.reduced(next(summands).gens, budget)
     yield partial, True
     for summand in summands:
-        grew = any(divide(h, partial.gens, budget=budget)
-                   for g in summand.gens
-                   for h in decompose(g, q, base).values())
-        if grew or base:
+        new = [g for g in summand.gens
+               if any(partial.normal_form(h, budget=budget)
+                      for h in decompose(g, q, base).values())]
+        if new or base:
             pushed = embed_ideal_to_level(partial, base, gamma.power, 1)
-            partial = _interreduce(list(pushed.gens) + list(summand.gens),
-                                   budget)
-        yield partial, grew
+            partial = Ideal.reduced(pushed.gens + tuple(new), budget)
+        yield partial, bool(new)
 
 
 def _level_sum(gamma: PLinearMap, I: Ideal, pairs, n: int, base=(),
@@ -262,10 +260,16 @@ class RelativeSetup:
             return max(len(kept), 1)
         return max(len(gens), 1)
 
-    def skoda_guaranteed(self) -> bool:
+    @property
+    def guarantee(self) -> str:
+        """Whether Skoda's identity is proven here: "proposition" when
+        lambda > mu(a) - 1 and lambda (q-1) is integral, else
+        "no guarantee"."""
         q = self.phi.power.q
-        return (self.lam > self.mu_a() - 1
-                and (Fraction(self.lam) * (q - 1)).denominator == 1)
+        if (self.lam > self.mu_a() - 1
+                and (self.lam * (q - 1)).denominator == 1):
+            return "proposition"
+        return "no guarantee"
 
 
 def tau_relative(setup: RelativeSetup, n: int,
@@ -279,21 +283,19 @@ def tau_relative(setup: RelativeSetup, n: int,
         raise TestIdealError("level must be >= 0")
     ideal = _level_sum(setup.phi, setup.I, ((setup.a, setup.lam),), n,
                        setup.ring.base_vars, setup.fiber_indices, budget)
-    return TauResult(ideal, n, False, None,
-                     "proposition" if setup.skoda_guaranteed() else "none")
+    return TauResult(ideal, n, False, None, setup.guarantee)
 
 
 def stabilization_scan(setup: RelativeSetup, n_max: int,
                        budget: Budget | None = None) -> TauResult:
     """First n <= n_max with tau_{n-1} B_n = tau_n, i.e. the level-n summand
     adds nothing; the chain is not checked beyond that level."""
-    guarantee = "proposition" if setup.skoda_guaranteed() else "no guarantee"
     chain = _partial_sums(setup.phi, setup.I, ((setup.a, setup.lam),),
                           setup.ring.base_vars, setup.fiber_indices, budget)
     for n, (partial, grew) in enumerate(islice(chain, n_max + 1)):
         if not grew:
-            return TauResult(partial, n, True, n, guarantee)
-    return TauResult(partial, n_max, False, None, guarantee)
+            return TauResult(partial, n, True, n, setup.guarantee)
+    return TauResult(partial, n_max, False, None, setup.guarantee)
 
 
 def base_change_check(setup: RelativeSetup, substitution, new_ring: RingPresentation,
@@ -461,7 +463,7 @@ def sum_decomposition_check(R: RingPresentation, delta: DivisorData,
             sampled_ok = False
     if not sampled_gens:
         return SumDecompositionReport(True, False, 0, "no admissible samples")
-    sampled_sum = _interreduce(sampled_gens, budget)
+    sampled_sum = Ideal.reduced(sampled_gens, budget)
     reverse = all(sampled_sum.contains(g, budget) for g in tau_triple.gens)
     note = "" if reverse else "budget too small for the reverse containment"
     return SumDecompositionReport(sampled_ok, reverse, samples, note)

@@ -66,10 +66,6 @@ class RingPresentation:
     def ideal(self, gens) -> Ideal:
         return Ideal(self.domain, self.nvars, gens)
 
-    def maximal_ideal(self) -> Ideal:
-        return Ideal(self.domain, self.nvars,
-                     [self.variable(i) for i in range(self.nvars)])
-
     def to_string(self, f: Polynomial) -> str:
         return f.to_string(self.var_names)
 
@@ -108,10 +104,6 @@ class DivisorData:
                 continue
             comps.append((g, c))
         object.__setattr__(self, "components", tuple(comps))
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.components
 
     def index_denominator(self) -> int:
         """lcm of the coefficient denominators (the Cartier-index datum)."""

@@ -151,6 +151,37 @@ def _sympy_monic_basis(polys, names, order, p):
     return out
 
 
+class TestReducedIdeal:
+    @pytest.mark.parametrize("texts,p", [
+        (("x^2 + y^2 - 1", "x - y"), 0),
+        (("x^3 - y", "x*y^2 + x", "x^2*y - y^2", "x^3 - y"), 3),
+        (("x^2*y", "x*y^2", "x^3", "x^2"), 2),
+        (("x^2 + x*y", "0"), 5),
+    ])
+    def test_carries_the_buchberger_basis(self, monkeypatch, texts, p):
+        dom = prime_field(p) if p else RATIONALS
+        gens = [P(t, domain=dom) for t in texts]
+        I = Ideal.reduced(gens)
+        assert I.gens == buchberger(gens)
+        calls = []
+        real = groebner.buchberger
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(groebner, "buchberger", spy)
+        assert I.groebner_basis() == I.gens
+        assert all(I.contains(g) for g in gens)
+        assert not calls
+        I.groebner_basis(LEX)
+        assert len(calls) == 1
+
+    def test_zero_generators(self):
+        I = Ideal.reduced([Polynomial.zero(RATIONALS, 2)])
+        assert I.is_zero() and I.groebner_basis() == ()
+
+
 class TestSympyOracleWide:
     """Reduced bases in 3 and 4 variables, exponents up to 8, in grevlex
     and lex, over Q and F_7, against sympy."""
