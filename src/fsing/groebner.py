@@ -3,20 +3,20 @@
 Inside the kernel every monomial is one int in the packed encoding of
 ``polycore.Packing``: a product is an addition, divisibility a mask test and
 the order a comparison of linear keys.  ``divide`` packs its dividend, and
-each divisor's packed data (leading monomial, inverse leading coefficient,
-tail) is cached on the divisor (``Polynomial.packed``).  ``buchberger``
-keeps its whole working basis packed, builds S-polynomials and monic
-remainders in packed form, and unpacks only the reduced basis it returns,
-whose members carry their packed data.  The field width fits the inputs'
+each divisor caches its packed data (leading monomial, inverse leading
+coefficient, tail; ``Polynomial.packed``).  ``buchberger`` works on packed
+members and unpacks only the reduced basis it returns, whose members carry
+their packed data; ``eliminate``, and so ``intersection``, finalises only
+the members free of the eliminated block.  The field width fits the inputs'
 degrees (at least 15 bits); a sum that overflows a field sets its guard bit,
 and the call is redone with doubled width from the budget it started with,
 so results and step counts never depend on the width.
 
 Buchberger runs with the sugar selection strategy and both classical pair
-criteria (coprime leading monomials, chain criterion), with a deterministic
-pair order so outputs are reproducible: pairs wait in a heap of distinct
-(sugar, -key of the lcm, i, j) tuples.  A reduction-step budget guards
-against runaway computations; exceeding it raises BudgetExceededError.
+criteria (coprime leading monomials, chain criterion); pairs wait in a heap
+of distinct (sugar, -key of the lcm, i, j) tuples, so outputs are
+reproducible.  A reduction-step budget guards against runaway computations;
+exceeding it raises BudgetExceededError.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class Budget:
                 f"reduction budget of {self.limit} steps exceeded")
 
 
-def _ensure_budget(budget: Budget | None) -> Budget:
-    return budget if budget is not None else Budget()
-
-
 # Smallest packed field width; the kernel widens it for inputs of larger
 # degree, and doubles it whenever a computation overflows it.
 _MIN_WIDTH = 15
@@ -88,7 +84,7 @@ def divide(f: Polynomial, divisors, order: MonomialOrder = GREVLEX,
     """Multivariate division: f = sum q_i g_i + r with no term of r
     divisible by any lm(g_i).  Returns r, or (quotients, r).
     """
-    budget = _ensure_budget(budget)
+    budget = Budget() if budget is None else budget
     dom = f.domain
     divs = [g for g in divisors if g]
 
@@ -203,18 +199,27 @@ def _s_poly(f, g, lcm: int, packing: Packing, p) -> dict:
 def buchberger(gens, order: MonomialOrder = GREVLEX,
                budget: Budget | None = None):
     """Reduced Groebner basis of the ideal generated by ``gens``."""
-    budget = _ensure_budget(budget)
+    return _groebner(gens, order, budget, 0)
+
+
+def _groebner(gens, order: MonomialOrder, budget: Budget | None,
+              block: int):
+    """The members of the reduced basis of ``gens`` in ``order`` free of
+    the first ``block`` variables, which ``order`` must eliminate.  Only
+    they are finalised: their terms are free of the block too, so only they
+    divide them, and they come out as within the full reduced basis."""
+    budget = Budget() if budget is None else budget
     basis = _sorted([g.monic(order) for g in gens if g], order)
     if not basis:
         return ()
     nvars = basis[0].nvars
     width = _width(max(g.total_degree() for g in basis))
     return _widening(budget, width, lambda width: _buchberger(
-        basis, order.packing(nvars, width), budget))
+        basis, order.packing(nvars, width), budget, block))
 
 
-def _buchberger(basis, packing: Packing, budget: Budget):
-    """Buchberger on monic packed members; see ``buchberger``."""
+def _buchberger(basis, packing: Packing, budget: Budget, block: int):
+    """Buchberger on monic packed members; see ``_groebner``."""
     dom = basis[0].domain
     p, guard, pack = dom.p, packing.guard, packing.pack
     polys = list(basis)
@@ -272,7 +277,9 @@ def _buchberger(basis, packing: Packing, budget: Budget):
             polys.append(None)
             for k in range(new_index):
                 heapq.heappush(pairs, pair_data(k, new_index))
-    return _reduce_basis(members, polys, packing, dom, budget)
+    keep = [i for i, m in enumerate(lm_tuples) if not any(m[:block])]
+    return _reduce_basis([members[i] for i in keep],
+                         [polys[i] for i in keep], packing, dom, budget)
 
 
 def _reduce_basis(members, polys, packing: Packing, dom, budget: Budget):
@@ -281,13 +288,9 @@ def _reduce_basis(members, polys, packing: Packing, dom, budget: Budget):
     guard, one = packing.guard, dom.one()
     # minimalize: drop members whose lm is divisible by another lm
     lms = [d[0] for d in members]
-    keep = []
-    for i, m in enumerate(lms):
-        mg = m | guard
-        if any(j != i and (mg - g) & guard == guard and (g != m or j < i)
-               for j, g in enumerate(lms)):
-            continue
-        keep.append(i)
+    keep = [i for i, m in enumerate(lms)
+            if not any(j != i and ((m | guard) - g) & guard == guard
+                       and (g != m or j < i) for j, g in enumerate(lms))]
     minimal = [members[i] for i in keep]
     # tail-reduce each member against the others
     reduced = []
@@ -430,9 +433,9 @@ def ideal_membership(f: Polynomial, I: Ideal,
     return I.contains(f, budget)
 
 
-def _prepend_variable(f: Polynomial, t_exponent: int = 0) -> Polynomial:
-    terms = {(t_exponent,) + m: c for m, c in f.terms.items()}
-    return Polynomial(f.domain, f.nvars + 1, terms, _clean=True)
+def _prepend_variable(f: Polynomial) -> Polynomial:
+    return Polynomial(f.domain, f.nvars + 1,
+                      {(0,) + m: c for m, c in f.terms.items()}, _clean=True)
 
 
 def intersection(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
@@ -444,11 +447,8 @@ def intersection(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
     one = Polynomial.constant(dom, n + 1, 1)
     gens = [t_only * _prepend_variable(g) for g in I.gens]
     gens += [(one - t_only) * _prepend_variable(g) for g in J.gens]
-    order = elimination_order(1)
-    gb = buchberger(gens, order, budget)
-    kept = [g.drop_variables([0]) for g in gb
-            if all(m[0] == 0 for m in g.terms)]
-    return Ideal(dom, n, kept)
+    meet = eliminate(Ideal(dom, n + 1, gens), 1, budget)
+    return Ideal(dom, n, [g.drop_variables([0]) for g in meet.gens])
 
 
 def _colon_by_element(I: Ideal, f: Polynomial, budget: Budget | None = None) -> Ideal:
@@ -539,7 +539,7 @@ def ideal_ops(I: Ideal, J: Ideal, op: str, budget: Budget | None = None):
 
 
 def eliminate(I: Ideal, k: int, budget: Budget | None = None) -> Ideal:
-    """Intersection with the subring omitting the first k variables."""
-    gb = I.groebner_basis(elimination_order(k), budget)
-    kept = [g for g in gb if all(all(e == 0 for e in m[:k]) for m in g.terms)]
-    return Ideal(I.domain, I.nvars, kept)
+    """Intersection with the subring omitting the first k variables (see
+    ``_groebner``); it is no full basis, so nothing is cached on I."""
+    return Ideal(I.domain, I.nvars,
+                 _groebner(I.gens, elimination_order(k), budget, k))

@@ -330,18 +330,37 @@ class TestWideExponents:
         assert not meet.contains(P("x^70000*y^69999", names))
 
     def test_step_counts_do_not_depend_on_the_width(self, monkeypatch):
+        """Every call shares one budget, so a re-run after an overflow that
+        did not restart from the budget it started with would show."""
         names = ("t", "x", "y")
         gens = [P("t - y^70000", names), P("t^2 - x", names)]
+        xs, ys = (Ideal(RATIONALS, 2, [P(text)])
+                  for text in ("x^70000", "y^70000"))
+        attempts = []
+        real = groebner._widening
+
+        def spy(budget, width, attempt):
+            attempts.append([])
+            return real(budget, width,
+                        lambda w: attempts[-1].append(w) or attempt(w))
+
+        monkeypatch.setattr(groebner, "_widening", spy)
         runs = []
         for width in (None, 64):
             if width is not None:
                 monkeypatch.setattr(groebner, "_MIN_WIDTH", width,
                                     raising=False)
+            attempts.clear()
             budget = Budget()
             gb = buchberger(gens, elimination_order(1), budget)
             r = divide(P("t^3*x", names), gb, elimination_order(1),
                        budget)
-            runs.append((gb, r, budget.used))
+            kept = eliminate(Ideal(RATIONALS, 3, gens), 1, budget).gens
+            meet = intersection(xs, ys, budget).gens
+            runs.append((gb, r, kept, meet, budget.used))
+            # buchberger, divide, eliminate, intersection: each overflows
+            # the width its inputs need, and none overflows 64 bits
+            assert [len(a) > 1 for a in attempts] == [width is None] * 4
         assert runs[0] == runs[1]
 
 
@@ -420,14 +439,115 @@ class TestRandomizedClosure:
         assert ideal_membership(f * random_poly(), I)
 
 
+def _block_free(gb, k):
+    """The members of ``gb`` in which none of the first k variables occurs."""
+    return [g for g in gb if all(not any(m[:k]) for m in g.terms)]
+
+
+def _intersection_via_full_basis(I, J, budget):
+    """The former route of ``intersection``, kept as a reference: the full
+    reduced basis of the tagged generators in the elimination order, then
+    its members free of the tag."""
+    dom, n = I.domain, I.nvars
+    t = Polynomial.variable(dom, n + 1, 0)
+    one = Polynomial.constant(dom, n + 1, 1)
+    gens = [t * groebner._prepend_variable(g) for g in I.gens]
+    gens += [(one - t) * groebner._prepend_variable(g) for g in J.gens]
+    gb = buchberger(gens, elimination_order(1), budget)
+    return Ideal(dom, n, [g.drop_variables([0]) for g in _block_free(gb, 1)])
+
+
+ELIMINATION_CASES = [
+    (1, ("t", "x", "y"), ("t - x^2", "t^2 - y")),
+    (1, ("t", "x", "y"), ("t*x - y^2", "t*y - x", "x^3 - y + 1")),
+    (1, ("t", "x", "y", "z"), ("t*x - z", "t*y - z^2", "t^2 - x*y")),
+    (2, ("t", "u", "x", "y"), ("t - x^2", "u - x*y", "t*u - y^3")),
+    (2, ("t", "u", "x", "y"), ("t*u - x", "t^2 - y", "u^2 - x*y + 2")),
+]
+INTERSECTION_CASES = [
+    (("x^2 - y*z + 2*x", "x*y^2 - z^3"), ("x*z - y^2", "y^3 - 3*x*z^2 + z")),
+    (("x^2", "y*z"), ("x*y", "z^2 - x")),
+    (("x*y - z", "x^3"), ("y^2 - x*z", "z^2")),
+]
+FIELDS = [None, 2, 3, 5]
+small_terms = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 4), st.integers(-3, 3)),
+    min_size=1, max_size=3)
+
+
+def _field(p):
+    return RATIONALS if p is None else prime_field(p)
+
+
 class TestEliminate:
     def test_eliminate_parameter(self):
-        from fsing.groebner import eliminate
-
         names = ("t", "x", "y")
         I = ideal("t - x^2", "t^2 - y", names=names)
         E = eliminate(I, 1)
         assert E.equals(ideal("x^4 - y", names=names))
+
+    def check_against_full_basis(self, I, k, limit=None):
+        full = Budget() if limit is None else Budget(limit)
+        try:
+            gb = buchberger(I.gens, elimination_order(k), full)
+        except BudgetExceededError:
+            return False
+        budget = Budget()
+        E = eliminate(I, k, budget)
+        assert E.gens == Ideal(I.domain, I.nvars, _block_free(gb, k)).gens
+        assert budget.used <= full.used
+        return True
+
+    def check_intersection(self, I, J, limit=None):
+        full = Budget() if limit is None else Budget(limit)
+        try:
+            want = _intersection_via_full_basis(I, J, full)
+        except BudgetExceededError:
+            return False
+        budget = Budget()
+        assert intersection(I, J, budget).gens == want.gens
+        assert budget.used <= full.used
+        return True
+
+    @pytest.mark.parametrize("p", FIELDS, ids=["Q", "F2", "F3", "F5"])
+    @pytest.mark.parametrize("k,names,texts", ELIMINATION_CASES)
+    def test_keeps_the_block_free_members_of_the_full_basis(self, p, k,
+                                                            names, texts):
+        I = ideal(*texts, names=names, domain=_field(p))
+        assert self.check_against_full_basis(I, k)
+
+    @pytest.mark.parametrize("p", FIELDS, ids=["Q", "F2", "F3", "F5"])
+    @pytest.mark.parametrize("I_texts,J_texts", INTERSECTION_CASES)
+    def test_intersection_matches_the_full_basis_route(self, p, I_texts,
+                                                       J_texts):
+        names, dom = ("x", "y", "z"), _field(p)
+        assert self.check_intersection(
+            ideal(*I_texts, names=names, domain=dom),
+            ideal(*J_texts, names=names, domain=dom))
+
+    @given(st.sampled_from(FIELDS), st.sampled_from([1, 2]),
+           st.lists(small_terms, min_size=1, max_size=3),
+           st.lists(small_terms, min_size=1, max_size=2))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_random_ideals(self, p, k, I_terms, J_terms):
+        """``eliminate`` on ideals in four variables; ``intersection`` on
+        the same terms with the last exponent dropped."""
+        dom = _field(p)
+        I = Ideal(dom, 4, [Polynomial(dom, 4, t) for t in I_terms])
+        self.check_against_full_basis(I, k, limit=20_000)
+        I3, J3 = (Ideal(dom, 3, [Polynomial(dom, 3, {m[:3]: c for m, c in t})
+                                 for t in terms])
+                  for terms in (I_terms, J_terms))
+        self.check_intersection(I3, J3, limit=20_000)
+
+    def test_writes_no_basis_cache(self):
+        """The members it finalises are not a full elimination basis, so
+        ``Ideal.reduced`` and ``Ideal.groebner_basis`` stay the only writers
+        of the cache."""
+        I = ideal("t - x^2", "t^2 - y", names=("t", "x", "y"))
+        eliminate(I, 1)
+        eliminate(I, 2)
+        assert I._gb_cache == {}
 
 
 class TestBudget:
