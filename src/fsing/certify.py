@@ -332,8 +332,8 @@ class DeformationReport:
 
 def verify_deformation_sfr(ring: RingPresentation, h: Polynomial,
                            c_slice: Polynomial, c_total: Polynomial,
-                           e_max: int, budget: Budget | None = None,
-                           _job_name: str = "deform") -> DeformationReport:
+                           e_max: int,
+                           budget: Budget | None = None) -> DeformationReport:
     """Certify S = R/(h) and R strongly F-regular independently.
 
     Emits deformation_consistent when both certify.  If the slice certifies
@@ -458,8 +458,8 @@ def run_job(job: JobSpec) -> dict:
         if job.h is None:
             raise CertifyError("deform mode needs the slice element h")
         if job.test_element is None:
-            raise CertifyError("deform mode needs a test element (used for "
-                               "both rings unless test_element_slice given)")
+            raise CertifyError("deform mode needs a test element "
+                               "(used for both rings)")
         report = verify_deformation_sfr(job.spec.ring, job.h,
                                         job.test_element, job.test_element,
                                         job.e_max, job.budget())

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from .arithmodels import ReductionError
 from .certify import CertifyError, parse_job, run_corpus, run_job
 from .polycore import PolyError
 from .testideals import TestIdealError
@@ -76,7 +77,7 @@ def main(argv=None) -> int:
             job.test_element = job.spec.ring.parse(args.test_element)
         result = run_job(job)
     except (CertifyError, OSError, ValueError, PolyError, PresentationError,
-            TestIdealError) as exc:
+            ReductionError, TestIdealError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -435,9 +435,9 @@ class Polynomial:
         return result
 
     def frobenius_power(self, q: int) -> "Polynomial":
-        """q-th power in characteristic p (q a power of p): termwise."""
+        """q-th power in characteristic p (q = p^k, k >= 0): termwise."""
         p = self.domain.characteristic
-        if p == 0 or q % p != 0:
+        if p == 0 or q not in (p ** k for k in range(q.bit_length())):
             raise DomainError("frobenius_power requires q a power of the characteristic")
         # c^q = c for c in F_p, so only exponents scale.
         return Polynomial(self.domain, self.nvars,

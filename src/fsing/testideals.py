@@ -26,8 +26,7 @@ from .groebner import Budget, Ideal, ideal_power, ideal_product
 # this imported name
 from .groebner import buchberger  # noqa: F401
 from .polycore import DomainError, Polynomial, ceil_frac
-from .frobenius import (FrobeniusPower, decompose, embed_ideal_to_level,
-                        frobenius_root)
+from .frobenius import FrobeniusPower, decompose, embed_ideal_to_level
 from .triples import DivisorData, PresentationError, RingPresentation
 
 
@@ -62,9 +61,6 @@ class TauResult:
     # "proposition" | "empirical" | "no guarantee"
     guarantee: str = "empirical"
 
-    def generators(self):
-        return self.ideal.gens
-
 
 def _summands(gamma: PLinearMap, I: Ideal, pairs, fiber_indices=None):
     """The summands S_0, S_1, ... of the Frobenius sum of (gamma, I) and
@@ -82,6 +78,8 @@ def _summands(gamma: PLinearMap, I: Ideal, pairs, fiber_indices=None):
     and (g^q K)^[1/q] = g_[q] K^[1/q], with u^{(i)} = u^{(i-1)} u^{q^{i-1}}.
     Powers are taken of each a_j's reduced basis (same ideal, smaller
     generators), computed once, as are the scaled multipliers u_[q^k].
+    Generators pass as duplicate-free tuples; no step builds an ``Ideal``,
+    as products of nonzero polynomials and ``decompose`` pieces are nonzero.
     """
     q = gamma.power.q
     bases = []
@@ -94,20 +92,19 @@ def _summands(gamma: PLinearMap, I: Ideal, pairs, fiber_indices=None):
                  else set(range(u.nvars)).difference(fiber_indices))
     scaled = [u]
     for i in count():
-        J = I
+        J = I.gens
         for base, (_, lam), cache in zip(bases, pairs, powers):
             n = ceil_frac(Fraction(lam) * q ** i)
             if n not in cache:
-                cache[n] = ideal_power(base, n)
-            J = ideal_product(cache[n], J)
+                cache[n] = ideal_power(base, n).gens
+            J = dict.fromkeys(f * g for f in cache[n] for g in J)
         for k in range(i):
             if k == len(scaled):
                 scaled.append(u.scale_exponents(base_vars, q ** k)
                               if base_vars else u)
-            J = frobenius_root(
-                Ideal(J.domain, J.nvars, [scaled[k] * g for g in J.gens]),
-                gamma.power, fiber_indices)
-        yield J
+            J = dict.fromkeys(r for g in J for r in decompose(
+                scaled[k] * g, q, fiber_indices).values())
+        yield tuple(J)
 
 
 def _partial_sums(gamma: PLinearMap, I: Ideal, pairs, base=(),
@@ -115,7 +112,7 @@ def _partial_sums(gamma: PLinearMap, I: Ideal, pairs, base=(),
     """Yield (P_n, grew) for n = 0, 1, ..., with P_n = S_0 + ... + S_n, each
     S_i pushed to level n (base exponents scaled by q^{n-i}).
 
-    Each P_n is an ``Ideal.reduced``, so it carries its grevlex basis.
+    Only ``Ideal.reduced`` builds ideals here: each P_n, with its basis.
     The generators of S_n that are new, those outside the pushed P_{n-1},
     are found first; P_n is the pushed P_{n-1} plus the new generators,
     interreduced, which is the same ideal as with all of S_n.  grew is
@@ -130,15 +127,15 @@ def _partial_sums(gamma: PLinearMap, I: Ideal, pairs, base=(),
     """
     q = gamma.power.q
     summands = _summands(gamma, I, pairs, fiber_indices)
-    partial = Ideal.reduced(next(summands).gens, budget)
+    partial = Ideal.reduced(next(summands), budget)
     yield partial, True
     for summand in summands:
-        new = [g for g in summand.gens
+        new = [g for g in summand
                if any(partial.normal_form(h, budget=budget)
                       for h in decompose(g, q, base).values())]
         if new or base:
-            pushed = embed_ideal_to_level(partial, base, gamma.power, 1)
-            partial = Ideal.reduced(pushed.gens + tuple(new), budget)
+            pushed = [g.scale_exponents(base, q) for g in partial.gens]
+            partial = Ideal.reduced(pushed + new, budget)
         yield partial, bool(new)
 
 
@@ -162,6 +159,8 @@ def tau_absolute(gamma: PLinearMap, I: Ideal, a: Ideal, lam,
         raise TestIdealError("lambda must be positive")
     if I.is_zero() or a.is_zero():
         raise TestIdealError("I and a must be nonzero")
+    if n_max < 0:
+        raise TestIdealError("n_max must be >= 0")
     chain = _partial_sums(gamma, I, ((a, lam),), budget=budget)
     level = None
     for n, (partial, grew) in enumerate(islice(chain, n_max + 1)):
@@ -290,6 +289,8 @@ def stabilization_scan(setup: RelativeSetup, n_max: int,
                        budget: Budget | None = None) -> TauResult:
     """First n <= n_max with tau_{n-1} B_n = tau_n, i.e. the level-n summand
     adds nothing; the chain is not checked beyond that level."""
+    if n_max < 0:
+        raise TestIdealError("n_max must be >= 0")
     chain = _partial_sums(setup.phi, setup.I, ((setup.a, setup.lam),),
                           setup.ring.base_vars, setup.fiber_indices, budget)
     for n, (partial, grew) in enumerate(islice(chain, n_max + 1)):
@@ -436,10 +437,7 @@ def sum_decomposition_check(R: RingPresentation, delta: DivisorData,
     sampled_gens = []
     samples = 0
     sampled_ok = True
-    ms = [m for m in range(1, sample_budget + 1) if m % p != 0]
-    for m in ms:
-        if samples >= sample_budget:
-            break
+    for m in [m for m in range(1, sample_budget + 1) if m % p != 0]:
         # f_i: products of generators of a_i of total weight ceil(m lam_i)
         fs = []
         for aj, lj in pairs:

@@ -427,6 +427,27 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "(3)" in err and "rejected_index_divisible" in err
 
+    @pytest.mark.parametrize("n_max", ["-1", "-3"])
+    def test_tau_negative_n_max_exits_2(self, tmp_path, capsys, n_max):
+        data = {"variables": ["x", "y"], "coefficient": "Q",
+                "delta": [{"g": "x^2 + y^3", "c": "5/6"}]}
+        assert self.run_main(tmp_path, "tau", data, "--n-max", n_max) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_max" in err
+
+    @pytest.mark.parametrize("base, args, message", [
+        (["t"], ["--level", "-1"], "perfection level"),
+        ([], ["--level", "0"], "no designated base variables"),
+    ], ids=["negative-level", "no-base-variables"])
+    def test_gsfr_reduction_error_exits_2(self, tmp_path, capsys, base, args,
+                                          message):
+        data = {"variables": ["t", "x", "y", "z"], "base_variables": base,
+                "coefficient": "Fp", "p": 5, "relations": ["x^2 + y^2 + z^2"],
+                "test_element": "x", "e_max": 1}
+        assert self.run_main(tmp_path, "gsfr", data, *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_fp_budget_exhaustion_exits_1(self, tmp_path):
         data = {"variables": ["a", "b", "c", "d", "e", "f"],
                 "coefficient": "Fp", "p": 5, "relations": MINORS_2X3,

@@ -48,6 +48,10 @@ class TestBracketPower:
             assert ideal_membership(g, P4)
         assert not ideal_membership(P("x^2*y^2", "xy", 2), B)
 
+    def test_q_one_is_identity(self):
+        I = ideal(3, "xy", "2*x + y", "y^2")
+        assert bracket_power(I, FrobeniusPower(3, 0)).gens == I.gens
+
     def test_wrong_characteristic(self):
         I = ideal(3, "xy", "x")
         with pytest.raises(DomainError):

@@ -125,6 +125,12 @@ class TestPower:
         f = P("x^2 + 2*y", XY, F5)
         assert f.frobenius_power(5) == poly_power(f, 5)
         assert f.frobenius_power(25) == poly_power(f, 25)
+        g = P("2*x + y", XY, F3)
+        assert g.frobenius_power(1) == g
+        assert g.frobenius_power(9) == poly_power(g, 9)
+        # 6 is a multiple of p = 3 but not a power of it
+        with pytest.raises(DomainError):
+            g.frobenius_power(6)
 
 
 class TestSubstitution:

@@ -84,6 +84,13 @@ class TestTauAbsolute:
         assert res.stabilized
         assert res.stabilization_level is not None
 
+    def test_negative_n_max_raises(self):
+        R = line(3)
+        gamma = PLinearMap(FrobeniusPower(3, 1), R.constant(1))
+        for n_max in (-1, -3):
+            with pytest.raises(TauError, match="n_max"):
+                tau_absolute(gamma, unit_ideal(R), unit_ideal(R), 1, n_max)
+
     def test_failed_recheck_resets_level(self):
         # S_1 adds nothing, so level 1 is recorded; S_2 then grows the sum,
         # so the re-check past n_max fails and no level may be reported
@@ -225,6 +232,12 @@ class TestStabilizationScan:
                               unit_ideal(R), unit_ideal(R), Fraction(1))
         res = stabilization_scan(setup, 3)
         assert res.stabilized and res.stabilization_level == 1
+
+    def test_negative_n_max_raises(self):
+        _, setup = growth_setup()
+        for n_max in (-1, -3):
+            with pytest.raises(TauError, match="n_max"):
+                stabilization_scan(setup, n_max)
 
     def test_growth_fixture_stabilizes_at_two(self):
         _, setup = growth_setup()
@@ -446,7 +459,7 @@ class TestNestedSummands:
                 for S in _literal_summands(gamma, I, pairs, fiber, count)]
         got = list(islice(_summands(gamma, I, pairs, fiber), count))
         for i, (a, b) in enumerate(zip(got, want)):
-            assert Ideal.reduced(a.gens).gens == b.gens, i
+            assert Ideal.reduced(a).gens == b.gens, i
         # the partial-sum chain: P_n is the interreduced literal sum pushed
         # to level n, and it grew exactly when S_n is not in the pushed P_{n-1}
         base = (0,) if relative else ()
@@ -463,3 +476,44 @@ class TestNestedSummands:
                 == partial.gens, n
             pushed = Ideal(dom, nvars, literal_sum(n, n - 1))
             assert grew == (not pushed.contains_ideal(want[n])), n
+
+    @staticmethod
+    def relative_chain_data():
+        """A relative chain over F_2[t] in (x, y) whose products (x*y = y*x)
+        and roots (distinct generators sharing a piece) repeat generators."""
+        R = polynomial_ring(["t", "x", "y"], prime_field(2), base_vars=[0])
+        t, x, y = R.variable(0), R.variable(1), R.variable(2)
+        gamma = PLinearMap(FrobeniusPower(2, 1), t * x + y ** 3)
+        pairs = ((R.ideal([x, y]), Fraction(1, 2)),
+                 (R.ideal([x + t * y]), Fraction(1, 3)))
+        return gamma, R.ideal([x, y, t * x]), pairs, R.fiber_vars
+
+    def test_summands_are_distinct_nonzero_tuples(self):
+        gamma, I, pairs, fiber = self.relative_chain_data()
+        R2 = plane(3)
+        x, y = R2.variable(0), R2.variable(1)
+        absolute = (PLinearMap(FrobeniusPower(3, 1), x * y),
+                    R2.ideal([x, y]), ((R2.ideal([x, y]), Fraction(2, 3)),),
+                    None)
+        for args in ((gamma, I, pairs, fiber), absolute):
+            for S in islice(_summands(*args), 4):
+                assert isinstance(S, tuple) and S
+                assert all(not g.is_zero() for g in S)
+                assert len(set(S)) == len(S)
+
+    def test_summands_build_only_the_power_ideals(self, monkeypatch):
+        """Past each a_j's basis ideal and its powers, no ``Ideal``."""
+        gamma, I, pairs, fiber = self.relative_chain_data()
+        built = []
+        init = Ideal.__init__
+
+        def spy(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(Ideal, "__init__", spy)
+        list(islice(_summands(gamma, I, pairs, fiber), 4))
+        q = gamma.power.q
+        exponents = sum(len({ceil_frac(lam * q ** i) for i in range(4)})
+                        for _, lam in pairs)
+        assert len(built) == len(pairs) + exponents
