@@ -42,12 +42,12 @@ from .triples import (
     polynomial_ring,
     quotient_ring,
 )
-from .verify import GSFR_TAG, verify_witness_data
+from .verify import GSFR_TAG, LC_TAG, verify_witness_data
 
 CERT_VERSION = "cert_v1"
 
 THEOREM_TAGS = {
-    "lc": "lc-from-sharp-f-purity-at-one-prime",
+    "lc": LC_TAG,
     "klt": "klt-from-strong-f-regularity-at-one-prime",
     "sfr": "strong-f-regularity-glassbrenner-witness",
     "gsfr": GSFR_TAG,

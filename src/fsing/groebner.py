@@ -22,9 +22,9 @@ exceeding it raises BudgetExceededError.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
 
 from .polycore import (
     GREVLEX,
@@ -106,60 +106,69 @@ def divide(f: Polynomial, divisors, order: MonomialOrder = GREVLEX,
 
 
 def _reduce(work: dict, divs, packing: Packing, dom, budget: Budget,
-            quotients=None) -> list:
+            quotients=None, index=None) -> list:
     """Reduce packed terms by packed divisors (see Polynomial.packed).
 
     ``work`` maps each packed monomial to its coefficient and is consumed.
     Returns the remainder as (monomial, coefficient) pairs from the leading
-    term down.  The live terms' keys (see Packing) sit in a lazy-deletion
-    min-heap, so they pop largest first; each live pop is one budget step.
-    ``quotients[i]`` collects the factors of divisor i by packed monomial.
+    term down.  Each live term has a min-heap entry ``(key << W) | m``, its
+    key (``Packing.key``, inlined) above its monomial m in the packing's W
+    bits, so the largest monomial pops first; a cancelled term's entry stays
+    behind, and the loop ends once ``work`` is empty.  Each live pop is one
+    budget step.  ``index`` lists (leading monomial, i) for each divisor i
+    in ascending order (built when not given): only ``lm <= m`` can divide
+    m, so the scan stops at the first larger lm, and m is reduced by the
+    dividing divisor of least i, the first in list order.  ``quotients[i]``
+    collects the factors of divisor i by packed monomial.
     """
+    if index is None:
+        index = sorted((d[0], i) for i, d in enumerate(divs))
     p = dom.p
     guard, dm = packing.guard, packing.deg_mask
-    lms = list(map(itemgetter(0), divs))
-    # heap key -> monomial; the key is packing.key, inlined
-    at = {m - ((m & dm) << 1): m for m in work}
-    heap = list(at)
+    shift = guard.bit_length()
+    low = (1 << shift) - 1
+    none = len(divs)
+    heap = [((m - ((m & dm) << 1)) << shift) | m for m in work]
     heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     rem = []
-    while heap:
-        # a key pushed twice (its term cancelled, then made again) pops twice
-        m = at.pop(pop(heap), None)
-        c = None if m is None else work.pop(m, None)
+    while work:
+        m = pop(heap) & low
+        c = work.pop(m, None)
         if c is None:
             continue
         budget.tick()
         mg = m | guard
-        for i, gm in enumerate(lms):
-            if (mg - gm) & guard == guard:
-                _, inv, tail = divs[i]
-                fm = m - gm
-                fc = c * inv % p if p else c * inv
-                if quotients is not None:
-                    # m - gm differs for each live m, so fm is new here
-                    quotients[i][fm] = fc
-                nfc = -fc
-                for m2, c2 in tail:
-                    m2 += fm
-                    w = work.get(m2)
-                    if w is None:
-                        if m2 & guard:
-                            raise PackingOverflow
-                        work[m2] = nfc * c2 % p if p else nfc * c2
-                        x = m2 - ((m2 & dm) << 1)
-                        at[x] = m2
-                        push(heap, x)
-                    else:
-                        s = (w + nfc * c2) % p if p else w + nfc * c2
-                        if s:
-                            work[m2] = s
-                        else:
-                            del work[m2]
+        i = none
+        for gm, k in index:
+            if gm > m:
                 break
-        else:
+            if k < i and (mg - gm) & guard == guard:
+                i = k
+        if i == none:
             rem.append((m, c))
+            continue
+        gm, inv, tail = divs[i]
+        fm = m - gm
+        fc = c * inv % p if p else c * inv
+        if quotients is not None:
+            # m - gm differs for each live m, so fm is new here
+            quotients[i][fm] = fc
+        nfc = -fc
+        for m2, c2 in tail:
+            m2 += fm
+            w = work.get(m2)
+            if w is None:
+                if m2 & guard:
+                    raise PackingOverflow
+                work[m2] = nfc * c2 % p if p else nfc * c2
+                push(heap, ((m2 - ((m2 & dm) << 1)) << shift) | m2)
+            else:
+                s = (w + nfc * c2) % p if p else w + nfc * c2
+                if s:
+                    work[m2] = s
+                else:
+                    del work[m2]
     return rem
 
 
@@ -225,6 +234,7 @@ def _buchberger(basis, packing: Packing, budget: Budget, block: int):
     polys = list(basis)
     members = [g.packed(packing) for g in basis]
     lms = [d[0] for d in members]
+    index = sorted((m, i) for i, m in enumerate(lms))
     lm_tuples = [g.leading_monomial(packing.order) for g in basis]
     sugars = [g.total_degree() for g in basis]
 
@@ -266,11 +276,12 @@ def _buchberger(basis, packing: Packing, budget: Budget, block: int):
         if skip:
             continue
         work = _s_poly(members[i], members[j], lcm, packing, p)
-        rem = _reduce(work, members, packing, dom, budget)
+        rem = _reduce(work, members, packing, dom, budget, index=index)
         if rem:
             new_index = len(members)
             members.append(_monic(rem, dom))
             lms.append(rem[0][0])
+            insort(index, (rem[0][0], new_index))
             lm_tuples.append(packing.unpack(rem[0][0]))
             sugars.append(max(pair_sugar,
                               max(packing.degree(P) for P, _ in rem)))

@@ -14,6 +14,7 @@ numbers as one term; only parenthesised factors multiply Polynomials.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
@@ -656,70 +657,52 @@ def default_variable_names(nvars: int):
 # Whitespace is insignificant; implicit multiplication is a syntax error.
 
 
-# str.isdigit also accepts digits such as '²' that int() rejects.
+# A token is an ASCII natural number, a name (str.isalnum or '_'), or any
+# other character; whitespace (str.isspace) separates tokens.  str.isdigit
+# also accepts digits such as '²' that int() rejects.
+_TOKEN = re.compile(r"[0-9]+|\w+|\S")
 _DIGITS = frozenset("0123456789")
+_OPERATORS = frozenset("+-*/^()")
+# A text without other characters lexes into valid tokens only.
+_OTHER = re.compile(r"[^0-9A-Za-z_+\-*/^()\s]")
 
 
-class _Tokenizer:
-    """Lexes lazily, one token at a time, with a one-token lookahead: a
-    lexing error surfaces only when the parser reaches that token."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._ahead = None
-
-    def peek(self):
-        if self._ahead is None:
-            self._ahead = self._lex()
-        return self._ahead
-
-    def next(self):
-        kind, value, pos = self.peek()
-        self._ahead = None
-        self.pos = pos + len(value)
-        return kind, value, pos
-
-    def _lex(self):
-        t = self.text
-        i = self.pos
-        while i < len(t) and t[i].isspace():
-            i += 1
-        if i >= len(t):
-            return ("end", "", i)
-        ch = t[i]
-        if ch in _DIGITS:
-            j = i
-            while j < len(t) and t[j] in _DIGITS:
-                j += 1
-            return ("int", t[i:j], i)
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(t) and (t[j].isalnum() or t[j] == "_"):
-                j += 1
-            return ("name", t[i:j], i)
-        if ch in "+-*/^()":
-            return (ch, ch, i)
-        raise ParseError(f"unexpected character {ch!r}", i)
+def _is_name(t: str) -> bool:
+    return t[:1].isalpha() or t[:1] == "_"
 
 
 def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynomial:
     """Parse ``text`` into a canonical Polynomial in the given variables."""
     names = list(variables)
-    index = {n: i for i, n in enumerate(names)}
+    index = {n: i for i, n in enumerate(names) if _is_name(n)}
     nvars = len(names)
     p = domain.p
-    tok = _Tokenizer(text)
+    toks = _TOKEN.findall(text)
+    # a character that starts no token is reported only when the parser
+    # reaches it: its token reads as the end, ""
+    bad = next((k for k, t in enumerate(toks) if t[0] not in _DIGITS
+                and t not in _OPERATORS and not _is_name(t)),
+               None) if _OTHER.search(text) else None
+    if bad is not None:
+        unexpected, toks[bad] = f"unexpected character {toks[bad][0]!r}", ""
+    toks.append("")
+    i = 0
+
+    def fail(message: str, k: int):
+        """Raise ``message`` at token k; positions are found only here."""
+        starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
+        raise ParseError(unexpected if k == bad else message, starts[k])
 
     def parse_expr() -> Polynomial:
+        nonlocal i
         # the terms accumulate in one dict: summing Polynomials would copy
         # the partial sum once per term
         acc: dict = {}
-        kind, _, _ = tok.peek()
+        t = toks[i]
         while True:
-            negate = kind == "-"
-            if kind in ("+", "-"):
-                tok.next()
+            negate = t == "-"
+            if negate or t == "+":
+                i += 1
             for m, c in parse_term().items():
                 if negate:
                     c = -c % p if p else -c
@@ -732,53 +715,48 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
                         acc[m] = s
                     else:
                         del acc[m]
-            kind, _, _ = tok.peek()
-            if kind not in ("+", "-"):
+            t = toks[i]
+            if t != "+" and t != "-":
                 return Polynomial(domain, nvars, acc, _clean=True)
 
     def parse_term() -> dict:
         """The terms of one product.  Its names and numbers build one
         exponent vector and one coefficient; only parenthesised factors
         are multiplied as Polynomials."""
+        nonlocal i
         mono = [0] * nvars
         coeff = domain.one()
         product = None
         while True:
-            kind, value, pos = tok.next()
-            if kind == "name":
-                if value not in index:
-                    raise ParseError(f"unknown identifier {value!r}", pos)
-                mono[index[value]] += parse_exponent()
-            elif kind == "int":
-                c = int(value)
-                if tok.peek()[0] == "/":
-                    tok.next()
-                    k, v, pos = tok.next()
-                    if k != "int":
-                        raise ParseError("expected a natural number after '/'",
-                                         pos)
-                    if int(v) == 0:
-                        raise ParseError("division by zero", pos)
-                    try:
-                        c = domain.normalize(Fraction(c, int(v)))
-                    except DomainError as exc:
-                        raise ParseError(str(exc), pos) from exc
-                else:
-                    c = domain.normalize(c)
-                k = parse_exponent()
+            t = toks[i]
+            i += 1
+            if t in index:
+                mono[index[t]] += natural("^", 1)
+            elif t[:1] in _DIGITS:
+                c = int(t)
+                d = natural("/")
+                if d == 0:
+                    fail("division by zero", i - 1)
+                try:
+                    c = domain.normalize(c if d is None else Fraction(c, d))
+                except DomainError as exc:
+                    fail(str(exc), i - 1)
+                k = natural("^", 1)
                 coeff = coeff * pow(c, k, p) % p if p else coeff * c ** k
-            elif kind == "(":
+            elif t == "(":
                 inner = parse_expr()
-                k, _, pos = tok.next()
-                if k != ")":
-                    raise ParseError("expected ')'", pos)
-                inner = inner ** parse_exponent()
+                i += 1
+                if toks[i - 1] != ")":
+                    fail("expected ')'", i - 1)
+                inner = inner ** natural("^", 1)
                 product = inner if product is None else product * inner
+            elif _is_name(t):
+                fail(f"unknown identifier {t!r}", i - 1)
             else:
-                raise ParseError(f"unexpected token {value!r}", pos)
-            if tok.peek()[0] != "*":
+                fail(f"unexpected token {t!r}", i - 1)
+            if toks[i] != "*":
                 break
-            tok.next()
+            i += 1
         if coeff == 0:
             return {}
         term = {tuple(mono): coeff}
@@ -786,20 +764,20 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
             return term
         return (product * Polynomial(domain, nvars, term, _clean=True)).terms
 
-    def parse_exponent() -> int:
-        """The natural number after a '^', or 1 when no '^' follows."""
-        if tok.peek()[0] != "^":
-            return 1
-        tok.next()
-        k, v, pos = tok.next()
-        if k != "int":
-            raise ParseError("expected a natural number after '^'", pos)
+    def natural(op: str, default=None):
+        """The natural number after ``op``, else ``default``."""
+        nonlocal i
+        if toks[i] != op:
+            return default
+        v = toks[i + 1]
+        i += 2
+        if v[:1] not in _DIGITS:
+            fail(f"expected a natural number after {op!r}", i - 1)
         return int(v)
 
     result = parse_expr()
-    kind, value, pos = tok.peek()
-    if kind != "end":
-        raise ParseError(f"unexpected trailing token {value!r}", pos)
+    if i < len(toks) - 1:
+        fail(f"unexpected trailing token {toks[i]!r}", i)
     return result
 
 

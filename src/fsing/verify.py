@@ -6,9 +6,11 @@ the criteria code.  Checks performed:
 
   1. the witness element factors exactly as recorded (product of the listed
      factors times the colon element);
-  2. the factor exponents meet the splitting requirements: each divisor
-     component g appears with exponent >= ceil(c (q-1)) and the a-generator
-     factors have total weight >= ceil(lambda (q-1));
+  2. the factor exponents meet the splitting requirements: e >= 1, each
+     divisor component g appears with exponent >= ceil(c (q-1)), the
+     a-generator factors have total weight >= ceil(lambda (q-1)), and a
+     test-element factor, which every theorem but the lc one needs, has
+     exponent >= 1 and is nonzero modulo the relations;
   3. the colon element h satisfies h * I subseteq I^[q];
   4. the witness element escapes m^[q] (a monomial with all exponents < q,
      or, for a geometric SFR certificate over a function-field base, with
@@ -28,13 +30,16 @@ from .polycore import Polynomial, ceil_frac, parse_polynomial, prime_field
 
 # The one theorem whose witness may escape m^[q] in the fiber variables only.
 GSFR_TAG = "geometric-sfr-from-perfected-base"
+# The one theorem whose witness needs no test-element factor.
+LC_TAG = "lc-from-sharp-f-purity-at-one-prime"
 
 
-def verify_witness_data(data: dict) -> bool:
+def verify_witness_data(data: dict, test_element: bool = False) -> bool:
+    """Checks 1-4; ``test_element`` requires the test-element factor."""
     p = int(data["p"])
     e = int(data["e"])
     q = int(data["q"])
-    if q != p ** e:
+    if e < 1 or q != p ** e:
         return False
     dom = prime_field(p)
     names = list(data["variables"])
@@ -80,6 +85,11 @@ def verify_witness_data(data: dict) -> bool:
                 return False
         if weight < needed:
             return False
+    if test_element and not any(
+            source == "test_element" and exponent >= 1
+            and not Ideal(dom, nvars, relations).contains(poly)
+            for poly, exponent, source in factors):
+        return False
 
     # 3. colon membership: h * I subseteq I^[q]
     if relations:
@@ -114,7 +124,8 @@ def verify_certificate_file(path: str) -> bool:
               f"{GSFR_TAG} certificate")
         return False
     try:
-        return verify_witness_data(data)
+        return verify_witness_data(
+            data, test_element=cert.get("theorem_tag") != LC_TAG)
     except Exception as exc:  # malformed data must fail closed, not crash
         print(f"verification data unusable: {type(exc).__name__}: {exc}")
         return False

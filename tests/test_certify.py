@@ -341,6 +341,58 @@ class TestCertificateContract:
         path.write_text(json.dumps(cert))
         assert not verify_certificate_file(str(path))
 
+    def fermat_lc_certificate(self):
+        # the cone over an elliptic curve: lc, but not klt
+        return certify_log_canonical(parse_job({
+            "variables": ["x", "y", "z"], "coefficient": "Q",
+            "relations": ["x^3 + y^3 + z^3"], "prime": 7, "e_max": 1,
+        }, "lc")).to_dict()
+
+    def test_lc_witness_relabelled_klt_rejected(self, tmp_path):
+        cert = self.fermat_lc_certificate()
+        path = tmp_path / "lc.json"
+        path.write_text(json.dumps(cert))
+        assert verify_certificate_file(str(path))
+        # no test-element factor: not a strong F-regularity witness
+        cert["theorem_tag"] = "klt-from-strong-f-regularity-at-one-prime"
+        cert["conclusion"] = "klt"
+        path.write_text(json.dumps(cert))
+        assert not verify_certificate_file(str(path))
+
+    def test_test_element_required_with_positive_exponent(self):
+        cert = certify_klt(parse_job({
+            "variables": ["x", "y", "z"], "coefficient": "Q",
+            "relations": ["x*y - z^2"], "test_element": "x", "prime": 5,
+            "e_max": 1}, "klt"))
+        data = cert.verification
+        assert verify_witness_data(data, test_element=True)
+        stripped = dict(data, witness_factors=[
+            dict(f, exponent=0) for f in data["witness_factors"]])
+        stripped["witness_element"] = stripped["colon_element"]
+        assert verify_witness_data(stripped)
+        assert not verify_witness_data(stripped, test_element=True)
+
+    def test_test_element_must_be_nonzero_in_the_ring(self):
+        # over F_5[x, y]/(x - 1), c = x - 1 is zero, h = c^4 is in
+        # (I^[5] : I) and h * c = x^5 - 1 escapes m^[5] by its constant term
+        data = {"p": 5, "e": 1, "q": 5, "variables": ["x", "y"],
+                "relations": ["x + 4"],
+                "colon_element": "x^4 + x^3 + x^2 + x + 1",
+                "witness_element": "x^5 + 4",
+                "witness_factors": [{"poly": "x + 4", "exponent": 1,
+                                     "source": "test_element"}]}
+        assert verify_witness_data(data)
+        assert not verify_witness_data(data, test_element=True)
+
+    def test_exponent_zero_block_rejected(self, tmp_path):
+        cert = self.fermat_lc_certificate()
+        # q = p^0 = 1: h = 1 is in (I^[1] : I) and 1 escapes m^[1]
+        cert["verification"].update(e=0, q=1, colon_element="1",
+                                    witness_element="1", witness_factors=[])
+        path = tmp_path / "e0.json"
+        path.write_text(json.dumps(cert))
+        assert not verify_certificate_file(str(path))
+
     def test_verifier_fails_closed_on_malformed_data(self, tmp_path):
         cert = certify_log_canonical(lc_job(prime=7, e_max=1)).to_dict()
         del cert["verification"]["colon_element"]

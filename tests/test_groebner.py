@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from fsing.polycore import (
     LEX,
     Polynomial,
     RATIONALS,
+    PackingOverflow,
     elimination_order,
     parse_polynomial,
     prime_field,
@@ -244,6 +246,112 @@ class TestDivisionProperty:
             if h:
                 assert h.leading_monomial(order) == max(h.terms,
                                                         key=order.key)
+
+
+def _first_divisor_reduce(work, divs, packing, dom, budget, quotients=None,
+                          index=None):
+    """A literal ``groebner._reduce``: the largest live term is reduced by
+    the first divisor, in list order, whose leading monomial divides it;
+    ``index`` is not used."""
+    p, guard = dom.p, packing.guard
+    rem = []
+    while work:
+        m = min(work, key=packing.key)
+        c = work.pop(m)
+        budget.tick()
+        for i, (lm, inv, tail) in enumerate(divs):
+            if ((m | guard) - lm) & guard == guard:
+                fc = c * inv % p if p else c * inv
+                if quotients is not None:
+                    quotients[i][m - lm] = fc
+                for m2, c2 in tail:
+                    m2 += m - lm
+                    if m2 & guard:
+                        raise PackingOverflow
+                    s = work.get(m2, 0) - fc * c2
+                    s = s % p if p else s
+                    if s:
+                        work[m2] = s
+                    else:
+                        work.pop(m2, None)
+                break
+        else:
+            rem.append((m, c))
+    return rem
+
+
+def _outcome(call, literal: bool):
+    """(result or BudgetExceededError, Budget.used) of call(budget), with
+    ``groebner._reduce`` replaced by the literal one when asked."""
+    budget = Budget(20_000)
+    with mock.patch.object(groebner, "_reduce", _first_divisor_reduce
+                           if literal else groebner._reduce):
+        try:
+            out = call(budget)
+        except BudgetExceededError:
+            out = BudgetExceededError
+    return out, budget.used
+
+
+small_mono = st.tuples(*[st.integers(0, 2)] * 3)
+# nonzero modulo every field drawn below
+terms_of = st.dictionaries(small_mono, st.integers(1, 4), min_size=1,
+                           max_size=3)
+
+
+class TestDivisorChoice:
+    """``_reduce`` finds divisors through their sorted leading monomials;
+    it must still pick, step by step, the first dividing divisor in list
+    order.  Among 12 or more divisors, leading monomials of degree <= 6 in
+    3 variables repeat, and the list order is shuffled."""
+
+    @given(st.sampled_from([None, 5, 7]),
+           st.sampled_from([GREVLEX, LEX, elimination_order(1)]),
+           st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3),
+                           st.integers(1, 4), max_size=8),
+           st.lists(terms_of, min_size=12, max_size=16),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_matches_first_divisor_in_list_order(self, p, order, f_terms,
+                                                 divisor_terms, rng):
+        dom = _field(p)
+        f = Polynomial(dom, 3, f_terms)
+        divs = [Polynomial(dom, 3, t) for t in divisor_terms]
+        # same leading monomial in every order, different polynomial
+        divs += [g + 1 for g in divs[:4] if not g.is_constant()]
+        rng.shuffle(divs)
+        for call in (lambda b: divide(f, divs, order, b, with_quotients=True),
+                     lambda b: buchberger(divs, order, b)):
+            assert _outcome(call, False) == _outcome(call, True)
+
+    def test_wide_exponents(self, monkeypatch):
+        """Tails of degree 40000 and more under lex: the reduction
+        overflows the width its inputs need, and the re-runs at doubled
+        width choose the same divisors."""
+        names = ("x", "y", "z")
+        rng = random.Random(14)
+        divs = [Polynomial(RATIONALS, 3, {
+            (rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 2)): 1,
+            (0, rng.randint(0, 3), rng.randint(0, 3)): -2}) for _ in range(12)]
+        divs += [P(t, names) for t in ("x*z - y^40000", "x*z + 3*z^50000",
+                                       "x^2 - z^45000", "x^2*y - y^70000")]
+        rng.shuffle(divs)
+        f = P("x^5*z^2 + 2*x^3*y*z - x^2*y^2 + x*z", names)
+        wide = [P(t, names) for t in ("y^2 - x", "x*y - z^70000", "x^2 - z")]
+        attempts = []
+        real = groebner._widening
+
+        def spy(budget, width, attempt):
+            attempts.append([])
+            return real(budget, width,
+                        lambda w: attempts[-1].append(w) or attempt(w))
+
+        monkeypatch.setattr(groebner, "_widening", spy)
+        for call in (lambda b: divide(f, divs, LEX, b, with_quotients=True),
+                     lambda b: buchberger(wide, LEX, b)):
+            attempts.clear()
+            assert _outcome(call, False) == _outcome(call, True)
+            assert attempts and all(len(a) > 1 for a in attempts)
 
 
 def _sorted_distinct_reference(gens):

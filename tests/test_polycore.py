@@ -379,3 +379,203 @@ class TestAgainstSympy:
         sympy_text = re.sub(r"(\d+/\d+)", r"(\1)", text).replace("^", "**")
         want = sp.Poly(sp.sympify(sympy_text), *gens, domain="QQ")
         assert parse_polynomial(text, XYZ, dom).terms == _expected(want, p)
+
+
+# ---------------------------------------------------------------------------
+# The lazy character-by-character parser that parse_polynomial replaced,
+# kept as a reference: the same grammar, terms, term order and errors.
+
+_REF_DIGITS = frozenset("0123456789")
+
+
+class _ReferenceTokenizer:
+    def __init__(self, text):
+        self.text = text
+        self.pos = 0
+        self._ahead = None
+
+    def peek(self):
+        if self._ahead is None:
+            self._ahead = self._lex()
+        return self._ahead
+
+    def next(self):
+        kind, value, pos = self.peek()
+        self._ahead = None
+        self.pos = pos + len(value)
+        return kind, value, pos
+
+    def _lex(self):
+        t = self.text
+        i = self.pos
+        while i < len(t) and t[i].isspace():
+            i += 1
+        if i >= len(t):
+            return ("end", "", i)
+        ch = t[i]
+        if ch in _REF_DIGITS:
+            j = i
+            while j < len(t) and t[j] in _REF_DIGITS:
+                j += 1
+            return ("int", t[i:j], i)
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(t) and (t[j].isalnum() or t[j] == "_"):
+                j += 1
+            return ("name", t[i:j], i)
+        if ch in "+-*/^()":
+            return (ch, ch, i)
+        raise ParseError(f"unexpected character {ch!r}", i)
+
+
+def _reference_parse(text, variables, domain):
+    names = list(variables)
+    index = {n: i for i, n in enumerate(names)}
+    nvars = len(names)
+    p = domain.p
+    tok = _ReferenceTokenizer(text)
+
+    def parse_expr():
+        acc = {}
+        kind, _, _ = tok.peek()
+        while True:
+            negate = kind == "-"
+            if kind in ("+", "-"):
+                tok.next()
+            for m, c in parse_term().items():
+                if negate:
+                    c = -c % p if p else -c
+                w = acc.get(m)
+                if w is None:
+                    acc[m] = c
+                else:
+                    s = (w + c) % p if p else w + c
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+            kind, _, _ = tok.peek()
+            if kind not in ("+", "-"):
+                return Polynomial(domain, nvars, acc, _clean=True)
+
+    def parse_term():
+        mono = [0] * nvars
+        coeff = domain.one()
+        product = None
+        while True:
+            kind, value, pos = tok.next()
+            if kind == "name":
+                if value not in index:
+                    raise ParseError(f"unknown identifier {value!r}", pos)
+                mono[index[value]] += parse_exponent()
+            elif kind == "int":
+                c = int(value)
+                if tok.peek()[0] == "/":
+                    tok.next()
+                    k, v, pos = tok.next()
+                    if k != "int":
+                        raise ParseError("expected a natural number after '/'",
+                                         pos)
+                    if int(v) == 0:
+                        raise ParseError("division by zero", pos)
+                    try:
+                        c = domain.normalize(Fraction(c, int(v)))
+                    except DomainError as exc:
+                        raise ParseError(str(exc), pos) from exc
+                else:
+                    c = domain.normalize(c)
+                k = parse_exponent()
+                coeff = coeff * pow(c, k, p) % p if p else coeff * c ** k
+            elif kind == "(":
+                inner = parse_expr()
+                k, _, pos = tok.next()
+                if k != ")":
+                    raise ParseError("expected ')'", pos)
+                inner = inner ** parse_exponent()
+                product = inner if product is None else product * inner
+            else:
+                raise ParseError(f"unexpected token {value!r}", pos)
+            if tok.peek()[0] != "*":
+                break
+            tok.next()
+        if coeff == 0:
+            return {}
+        term = {tuple(mono): coeff}
+        if product is None:
+            return term
+        return (product * Polynomial(domain, nvars, term, _clean=True)).terms
+
+    def parse_exponent():
+        if tok.peek()[0] != "^":
+            return 1
+        tok.next()
+        k, v, pos = tok.next()
+        if k != "int":
+            raise ParseError("expected a natural number after '^'", pos)
+        return int(v)
+
+    result = parse_expr()
+    kind, value, pos = tok.peek()
+    if kind != "end":
+        raise ParseError(f"unexpected trailing token {value!r}", pos)
+    return result
+
+
+def _parse_outcome(parse, text, variables, domain):
+    """The terms in order, or the error's type, message and position."""
+    try:
+        return list(parse(text, variables, domain).terms.items())
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+# names (some unknown, some Unicode), numbers, operators, separators, and
+# characters that start no token: non-ASCII digits and punctuation
+_FUZZ_TOKENS = ["x", "y", "z", "é", "x²", "_t", "w", "xé", "ß", "Ⅻ",
+                "0", "1", "2", "3", "12", "007", "²", "٣", "2x", "x2", "4٣",
+                "+", "-", "*", "/", "^", "(", ")", "**", "^2",
+                " ", "", "\t", "\n", "\u00a0", "\u2009", "\u3000", "\x1c",
+                "$", ".", "#", ",", "=", "\x00"]
+_FUZZ_VARIABLES = [["x", "y", "z"], ["x", "y", "é", "x²", "_t"],
+                   ["2", "+", "x", ""]]
+
+
+@st.composite
+def parser_texts(draw):
+    if draw(st.booleans()):
+        text = "".join(draw(st.lists(st.sampled_from(_FUZZ_TOKENS),
+                                     max_size=30)))
+    else:
+        # a well-formed text, then truncated or with one character replaced
+        f = Polynomial(RATIONALS, 3, draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * 3), coeff_q, max_size=5)))
+        text = f"({f.to_string(XYZ)})^{draw(st.integers(0, 3))} * x - 1/3"
+        cut = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:cut]
+        else:
+            text = (text[:cut] + draw(st.sampled_from(_FUZZ_TOKENS))
+                    + text[cut + 1:])
+    return text
+
+
+class TestParserAgainstReference:
+    @given(parser_texts(), st.sampled_from(_FUZZ_VARIABLES),
+           st.sampled_from([None, 3, 5]))
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    def test_same_terms_or_same_error(self, text, variables, p):
+        dom = RATIONALS if p is None else prime_field(p)
+        assert (_parse_outcome(parse_polynomial, text, variables, dom)
+                == _parse_outcome(_reference_parse, text, variables, dom))
+
+    @pytest.mark.parametrize("text", [
+        "x ²", "x^٣", "é*x² + _t", "x\x1c+ y", "x $", "(x $", "x + ",
+        "1/0", "1/3", "x^", "()", "x y $", "2 ^ 3 / 3", "\x1c", "",
+        "2٣*x", "x^2٣", "1/2٣", "x\u00a0+\u2009y",
+    ])
+    def test_examples(self, text):
+        for variables in _FUZZ_VARIABLES:
+            for dom in (RATIONALS, F3):
+                assert (_parse_outcome(parse_polynomial, text, variables, dom)
+                        == _parse_outcome(_reference_parse, text, variables,
+                                          dom))
