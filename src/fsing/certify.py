@@ -180,7 +180,9 @@ def _emit(conclusion: str, tag: str, prime, witness: FPurityWitness | None,
         assert spec_p is not None
         ver = _witness_verification(spec_p.ring, spec_p, witness,
                                     escape_indices)
-        # emission-time soundness gate: the check fsing.verify re-runs
+        # emission-time soundness gate: checks 1-4 of fsing.verify; the
+        # test-element factor it also requires is checked by
+        # strongly_fregular when the witness is found
         if not verify_witness_data(ver):
             raise CertifyError("soundness gate: witness failed re-verification")
         exponent = witness.e

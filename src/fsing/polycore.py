@@ -663,8 +663,6 @@ def default_variable_names(nvars: int):
 _TOKEN = re.compile(r"[0-9]+|\w+|\S")
 _DIGITS = frozenset("0123456789")
 _OPERATORS = frozenset("+-*/^()")
-# A text without other characters lexes into valid tokens only.
-_OTHER = re.compile(r"[^0-9A-Za-z_+\-*/^()\s]")
 
 
 def _is_name(t: str) -> bool:
@@ -677,21 +675,18 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
     index = {n: i for i, n in enumerate(names) if _is_name(n)}
     nvars = len(names)
     p = domain.p
-    toks = _TOKEN.findall(text)
-    # a character that starts no token is reported only when the parser
-    # reaches it: its token reads as the end, ""
-    bad = next((k for k, t in enumerate(toks) if t[0] not in _DIGITS
-                and t not in _OPERATORS and not _is_name(t)),
-               None) if _OTHER.search(text) else None
-    if bad is not None:
-        unexpected, toks[bad] = f"unexpected character {toks[bad][0]!r}", ""
-    toks.append("")
+    toks = _TOKEN.findall(text) + [""]
     i = 0
 
     def fail(message: str, k: int):
-        """Raise ``message`` at token k; positions are found only here."""
+        """Raise ``message`` at token k; positions are found only here.  No
+        rule accepts a character that starts no token, so the parser stops
+        at the first one and it is reported as itself."""
+        t = toks[k]
+        if t and t[0] not in _DIGITS and t not in _OPERATORS and not _is_name(t):
+            message = f"unexpected character {t[0]!r}"
         starts = [m.start() for m in _TOKEN.finditer(text)] + [len(text)]
-        raise ParseError(unexpected if k == bad else message, starts[k])
+        raise ParseError(message, starts[k])
 
     def parse_expr() -> Polynomial:
         nonlocal i

@@ -35,7 +35,9 @@ LC_TAG = "lc-from-sharp-f-purity-at-one-prime"
 
 
 def verify_witness_data(data: dict, test_element: bool = False) -> bool:
-    """Checks 1-4; ``test_element`` requires the test-element factor."""
+    """Checks 1-4.  By default this is weaker than verify_certificate_file:
+    only ``test_element=True`` also requires a test-element factor with
+    exponent >= 1 that is nonzero modulo the relations."""
     p = int(data["p"])
     e = int(data["e"])
     q = int(data["q"])
