@@ -458,32 +458,31 @@ def intersection(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
     one = Polynomial.constant(dom, n + 1, 1)
     gens = [t_only * _prepend_variable(g) for g in I.gens]
     gens += [(one - t_only) * _prepend_variable(g) for g in J.gens]
-    meet = eliminate(Ideal(dom, n + 1, gens), 1, budget)
-    return Ideal(dom, n, [g.drop_variables([0]) for g in meet.gens])
-
-
-def _colon_by_element(I: Ideal, f: Polynomial, budget: Budget | None = None) -> Ideal:
-    if f.is_zero():
-        raise PolyError("colon by the zero element")
-    meet = intersection(I, Ideal(I.domain, I.nvars, [f]), budget)
-    quotients = []
-    for g in meet.gens:
-        qs, r = divide(g, [f], GREVLEX, budget, with_quotients=True)
-        if not r.is_zero():
-            raise PolyError("exact division failed in colon computation")
-        quotients.append(qs[0])
-    return Ideal(I.domain, I.nvars, quotients)
+    meet = _groebner(gens, elimination_order(1), budget, 1)
+    return Ideal(dom, n, [g.drop_variables([0]) for g in meet])
 
 
 def colon_ideal(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
-    """(I : J) = {f : f*J subseteq I}."""
+    """(I : J) = {g : g*J subseteq I}.  Starting from P = (1), each
+    generator f of J in turn restricts P to {g in P : g*f in I}, computed as
+    (I cap f*P) / f: g*f lies in f*P iff g lies in P, f being a
+    nonzerodivisor (Cox-Little-O'Shea, section 4.4).  For a principal J the
+    generators are those quotients; otherwise the reduced grevlex basis."""
     if J.is_zero():
         raise PolyError("colon by the zero ideal")
-    result = None
+    P = [Polynomial.constant(I.domain, I.nvars, 1)]
     for f in J.gens:
-        part = _colon_by_element(I, f, budget)
-        result = part if result is None else intersection(result, part, budget)
-    return result
+        meet = intersection(I, Ideal(I.domain, I.nvars, [f * g for g in P]),
+                            budget)
+        P = []
+        for g in meet.gens:
+            qs, r = divide(g, [f], GREVLEX, budget, with_quotients=True)
+            if not r.is_zero():
+                raise PolyError("exact division failed in colon computation")
+            P.append(qs[0])
+    if len(J.gens) > 1:
+        P = buchberger(P, GREVLEX, budget)
+    return Ideal(I.domain, I.nvars, P)
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
@@ -502,8 +501,8 @@ def ideal_power(I: Ideal, n: int) -> Ideal:
     if n == 0:
         return Ideal(I.domain, I.nvars, [Polynomial.constant(I.domain, I.nvars, 1)])
     gens = I.gens
-    if len(gens) == 1:
-        return Ideal(I.domain, I.nvars, [gens[0] ** n])
+    if len(gens) <= 1:   # (g)^n = (g^n), and 0^n = 0
+        return Ideal(I.domain, I.nvars, [g ** n for g in gens])
     pow_cache = [{0: Polynomial.constant(I.domain, I.nvars, 1)} for _ in gens]
 
     def gen_power(i: int, k: int) -> Polynomial:

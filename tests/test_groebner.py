@@ -527,6 +527,12 @@ class TestIdealOps:
     def test_power(self):
         assert ideal_power(ideal("x", "y"), 2).equals(ideal("x^2", "x*y", "y^2"))
 
+    def test_power_of_zero_ideal(self):
+        zero = Ideal.zero(prime_field(3), 2)
+        for n in (1, 2, 5):
+            assert ideal_power(zero, n).is_zero()
+        assert ideal_power(zero, 0).gens == (Polynomial.constant(zero.domain, 2, 1),)
+
 
 class TestRandomizedClosure:
     @pytest.mark.parametrize("seed", range(4))
@@ -656,6 +662,109 @@ class TestEliminate:
         eliminate(I, 1)
         eliminate(I, 2)
         assert I._gb_cache == {}
+
+
+def _colon_via_parts(I, J, budget=None):
+    """The former route of ``colon_ideal``, kept as a reference: the colon
+    by each generator f of J as (I cap (f)) / f, then the pairwise
+    intersection of those parts."""
+    result = None
+    for f in J.gens:
+        quotients = []
+        for g in intersection(I, Ideal(I.domain, I.nvars, [f]), budget).gens:
+            qs, r = divide(g, [f], GREVLEX, budget, with_quotients=True)
+            assert r.is_zero()
+            quotients.append(qs[0])
+        part = Ideal(I.domain, I.nvars, quotients)
+        result = part if result is None else intersection(result, part, budget)
+    return result
+
+
+def _frobenius_colon(texts, names, p, e):
+    """(I^[q] : I) over F_p, q = p^e, for I generated by ``texts``."""
+    I = ideal(*texts, names=names, domain=prime_field(p))
+    Iq = Ideal(I.domain, I.nvars, [g.frobenius_power(p ** e) for g in I.gens])
+    return Iq, I
+
+
+DET_F3 = (("A", "B", "C", "D", "E"),
+          ("A^4 - B*C", "A^2*B^4 - A^2*D - C*D", "B^5 - B*D - A^2*D"))
+MINORS_2X3 = (("x", "y", "z", "u", "v", "w"),
+              ("x*v - y*u", "x*w - z*u", "y*w - z*v"))
+RATIONAL_NORMAL_QUARTIC = (
+    ("a", "b", "c", "d", "e"),
+    ("a*c - b^2", "a*d - b*c", "a*e - b*d", "b*d - c^2", "b*e - c*d",
+     "c*e - d^2"))
+
+
+# no constant terms and at least two terms: few unit or monomial ideals
+colon_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3).filter(any),
+                              st.integers(1, 4), min_size=2, max_size=3)
+
+
+class TestColonAgainstParts:
+    """``colon_ideal`` restricts (1) by one generator of J at a time; its
+    generators must be those of the former route, the pairwise intersection
+    of the per-generator colons, byte for byte."""
+
+    def check(self, I, J):
+        got, want = colon_ideal(I, J), _colon_via_parts(I, J)
+        assert [g.to_string() for g in got.gens] == \
+            [g.to_string() for g in want.gens]
+        assert got.gens == want.gens
+        return got
+
+    @pytest.mark.parametrize("names,texts,p,e", [
+        (*DET_F3, 3, 1), (*DET_F3, 3, 2),
+        (*MINORS_2X3, 2, 1), (*MINORS_2X3, 3, 1),
+        (*RATIONAL_NORMAL_QUARTIC, 2, 1)],
+        ids=["det-F3-e1", "det-F3-e2", "minors-F2", "minors-F3",
+             "quartic-F2"])
+    def test_fedder_colons(self, names, texts, p, e):
+        self.check(*_frobenius_colon(texts, names, p, e))
+
+    @pytest.mark.parametrize("I_texts,J_texts", INTERSECTION_CASES + [
+        (("x^2*y", "y^3"), ("x*y", "y^2")),
+        (("x^2 - y*z + 2*x", "x*y^2 - z^3"), ("x", "y + z")),
+    ])
+    def test_over_q(self, I_texts, J_texts):
+        names = ("x", "y", "z")
+        self.check(ideal(*I_texts, names=names), ideal(*J_texts, names=names))
+
+    def test_redundant_generator(self):
+        C = self.check(ideal("x^3", "x*y^2", "y^4"), ideal("x", "y", "x + y"))
+        assert C.equals(ideal("x^3", "x^2*y", "x*y^2", "y^3"))
+
+    def test_unit_in_j(self):
+        I = ideal("x^2 - y", "x*y^2")
+        C = self.check(I, ideal("x + 1", "1"))
+        assert C.equals(I)
+
+    def test_zero_i(self):
+        assert self.check(Ideal.zero(RATIONALS, 2), ideal("x", "y")).is_zero()
+
+    def test_principal_j_gives_the_quotients(self):
+        """No reduction: the quotient of x^2 by 2*x is x/2, not monic."""
+        C = self.check(ideal("x^2", "x*y^3"), ideal("2*x"))
+        assert [g.to_string(["x", "y"]) for g in C.gens] == ["1/2*x", "1/2*y^3"]
+
+    @given(st.sampled_from(FIELDS),
+           st.lists(colon_terms, min_size=2, max_size=3),
+           st.lists(colon_terms, min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_random_ideals(self, p, I_terms, J_terms):
+        dom = _field(p)
+        I, J = (Ideal(dom, 3, [Polynomial(dom, 3, t) for t in terms])
+                for terms in (I_terms, J_terms))
+        if J.is_zero():
+            return
+        try:
+            want = _colon_via_parts(I, J, Budget(20_000))
+        except BudgetExceededError:
+            return
+        got = colon_ideal(I, J)
+        assert [g.to_string() for g in got.gens] == \
+            [g.to_string() for g in want.gens]
 
 
 class TestBudget:
