@@ -50,8 +50,10 @@ class Budget:
     used: int = 0
 
     def tick(self, n: int = 1):
+        """Charge n steps as n single ticks: an overrun stops at limit + 1."""
         self.used += n
         if self.used > self.limit:
+            self.used = self.limit + 1
             raise BudgetExceededError(
                 f"reduction budget of {self.limit} steps exceeded")
 
@@ -217,14 +219,30 @@ def _groebner(gens, order: MonomialOrder, budget: Budget | None,
     the first ``block`` variables, which ``order`` must eliminate.  Only
     they are finalised: their terms are free of the block too, so only they
     divide them, and they come out as within the full reduced basis."""
+    return _packed_run(gens, order, budget, lambda basis, packing, budget:
+                       _buchberger(basis, packing, budget, block))
+
+
+def _interreduced(gens, budget: Budget | None):
+    """The reduced grevlex basis of ``gens``, which must be a grevlex
+    Groebner basis: only minimalisation and tail reduction, no S-pair."""
+    return _packed_run(gens, GREVLEX, budget, lambda basis, packing, budget:
+                       _reduce_basis([g.packed(packing) for g in basis], basis,
+                                     packing, basis[0].domain, budget))
+
+
+def _packed_run(gens, order: MonomialOrder, budget: Budget | None, run):
+    """run(basis, packing, budget) on the monic nonzero ``gens`` sorted in
+    ``order``, at a width that fits them (see ``_widening``); () when
+    there are none."""
     budget = Budget() if budget is None else budget
     basis = _sorted([g.monic(order) for g in gens if g], order)
     if not basis:
         return ()
     nvars = basis[0].nvars
     width = _width(max(g.total_degree() for g in basis))
-    return _widening(budget, width, lambda width: _buchberger(
-        basis, order.packing(nvars, width), budget, block))
+    return _widening(budget, width, lambda width: run(
+        basis, order.packing(nvars, width), budget))
 
 
 def _buchberger(basis, packing: Packing, budget: Budget, block: int):
@@ -296,7 +314,7 @@ def _buchberger(basis, packing: Packing, budget: Budget, block: int):
 def _reduce_basis(members, polys, packing: Packing, dom, budget: Budget):
     """Minimalize and tail-reduce monic packed members; ``polys[i]`` is the
     Polynomial of member i when it is an input, else None."""
-    guard, one = packing.guard, dom.one()
+    guard, dm, one = packing.guard, packing.deg_mask, dom.one()
     # minimalize: drop members whose lm is divisible by another lm
     lms = [d[0] for d in members]
     keep = [i for i, m in enumerate(lms)
@@ -311,6 +329,15 @@ def _reduce_basis(members, polys, packing: Packing, dom, budget: Budget):
             poly = polys[keep[i]]
             reduced.append((d[0], poly if poly is not None
                             else _member_polynomial(d, packing, dom)))
+            continue
+        if not any(((m | guard) - e[0]) & guard == guard
+                   for m, _ in d[2] for e in minimal):
+            # no lm divides a tail term (its own cannot: the term is
+            # smaller), so reducing would pop every term once and keep it
+            budget.tick(len(d[2]) + 1)
+            tail = sorted(d[2], key=lambda t: t[0] - ((t[0] & dm) << 1))
+            reduced.append((d[0], _member_polynomial((d[0], one, tail),
+                                                     packing, dom)))
             continue
         work = dict(d[2])
         work[d[0]] = one
@@ -464,25 +491,35 @@ def intersection(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
 
 def colon_ideal(I: Ideal, J: Ideal, budget: Budget | None = None) -> Ideal:
     """(I : J) = {g : g*J subseteq I}.  Starting from P = (1), each
-    generator f of J in turn restricts P to {g in P : g*f in I}, computed as
+    generator f of J in turn restricts P to {g in P : g*f in I}, which is
     (I cap f*P) / f: g*f lies in f*P iff g lies in P, f being a
-    nonzerodivisor (Cox-Little-O'Shea, section 4.4).  For a principal J the
-    generators are those quotients; otherwise the reduced grevlex basis."""
+    nonzerodivisor (Cox-Little-O'Shea, section 4.4).  P is carried as the
+    reduced basis of I cap f*P, whose members are f times P's: the next
+    generator f' meets I with the exact quotients f'*g / f, and only the
+    last meet is divided by its generator.  For a principal J the
+    generators are those quotients.  Otherwise they already form a
+    Groebner basis, as lm(f*h) = lm(f)*lm(h), and are returned as the
+    reduced grevlex basis."""
     if J.is_zero():
         raise PolyError("colon by the zero ideal")
-    P = [Polynomial.constant(I.domain, I.nvars, 1)]
+    meet, prev = [Polynomial.constant(I.domain, I.nvars, 1)], None
     for f in J.gens:
-        meet = intersection(I, Ideal(I.domain, I.nvars, [f * g for g in P]),
-                            budget)
-        P = []
-        for g in meet.gens:
-            qs, r = divide(g, [f], GREVLEX, budget, with_quotients=True)
-            if not r.is_zero():
-                raise PolyError("exact division failed in colon computation")
-            P.append(qs[0])
+        gens = [f * g if prev is None else _exact_quotient(f * g, prev, budget)
+                for g in meet]
+        meet = intersection(I, Ideal(I.domain, I.nvars, gens), budget).gens
+        prev = f
+    P = [_exact_quotient(g, prev, budget) for g in meet]
     if len(J.gens) > 1:
-        P = buchberger(P, GREVLEX, budget)
+        P = _interreduced(P, budget)
     return Ideal(I.domain, I.nvars, P)
+
+
+def _exact_quotient(g: Polynomial, f: Polynomial,
+                    budget: Budget | None) -> Polynomial:
+    qs, r = divide(g, [f], GREVLEX, budget, with_quotients=True)
+    if not r.is_zero():
+        raise PolyError("exact division failed in colon computation")
+    return qs[0]
 
 
 def ideal_sum(I: Ideal, J: Ideal) -> Ideal:

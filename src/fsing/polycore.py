@@ -617,7 +617,8 @@ class Polynomial:
         if var_names is None:
             var_names = default_variable_names(self.nvars)
         parts = []
-        for mono in sorted(self.terms, key=_grevlex_key, reverse=True):
+        # descending _grevlex_key: the monomials are distinct, so no ties
+        for mono in sorted(self.terms, key=lambda m: (-sum(m), m[::-1])):
             coeff = self.terms[mono]
             factors = [f"{var_names[i]}^{e}" if e > 1 else var_names[i]
                        for i, e in enumerate(mono) if e > 0]
@@ -665,8 +666,18 @@ _DIGITS = frozenset("0123456789")
 _OPERATORS = frozenset("+-*/^()")
 
 
+# The names the flat path reads: ASCII, so each is one whole token between
+# the separators it stands among.
+_FLAT_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_FLAT_SIGN = re.compile(r" ([+-]) ")
+
+
 def _is_name(t: str) -> bool:
     return t[:1].isalpha() or t[:1] == "_"
+
+
+def _is_natural(t: str) -> bool:
+    return t.isascii() and t.isdigit()
 
 
 def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynomial:
@@ -674,6 +685,10 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
     names = list(variables)
     index = {n: i for i, n in enumerate(names) if _is_name(n)}
     nvars = len(names)
+    flat = _parse_flat(text, {n: i for n, i in index.items()
+                              if _FLAT_NAME.fullmatch(n)}, nvars, domain)
+    if flat is not None:
+        return flat
     p = domain.p
     toks = _TOKEN.findall(text) + [""]
     i = 0
@@ -774,6 +789,74 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
     if i < len(toks) - 1:
         fail(f"unexpected trailing token {toks[i]!r}", i)
     return result
+
+
+def _parse_flat(text: str, index: dict, nvars: int,
+                domain: CoefficientDomain) -> Polynomial | None:
+    """``text`` read as a flat sum of monomials, the form ``to_string``
+    writes: an optional leading '-', terms joined by ' + ' or ' - ', each
+    term numbers (n or n/d) and names (x or x^k) joined by '*'.  None for
+    any other text, and for one the recursive-descent parser would reject;
+    that parser then reads it.  Terms are built, negated and summed as that
+    parser does, so they come out equal and in the same order."""
+    p = domain.p
+    one = domain.one()
+    # each factor read so far: (variable index, exponent) or (None, number)
+    known = {n: (i, 1) for n, i in index.items()}
+    parts = _FLAT_SIGN.split(text)      # term, sign, term, ...
+    negate = parts[0][:1] == "-"
+    if negate:
+        parts[0] = parts[0][1:]
+    acc: dict = {}
+    for k in range(0, len(parts), 2):
+        if k:
+            negate = parts[k - 1] == "-"
+        mono = [0] * nvars
+        coeff = one
+        for factor in parts[k].split("*"):
+            read = known.get(factor)
+            if read is None:
+                read = known[factor] = _flat_factor(factor, index, domain)
+                if read is None:
+                    return None
+            i, v = read
+            if i is None:
+                coeff = coeff * v % p if p else coeff * v
+            else:
+                mono[i] += v
+        if coeff == 0:
+            continue
+        m = tuple(mono)
+        c = (-coeff % p if p else -coeff) if negate else coeff
+        w = acc.get(m)
+        if w is None:
+            acc[m] = c
+        else:
+            s = (w + c) % p if p else w + c
+            if s:
+                acc[m] = s
+            else:
+                del acc[m]
+    return Polynomial(domain, nvars, acc, _clean=True)
+
+
+def _flat_factor(factor: str, index: dict, domain: CoefficientDomain):
+    """One factor of a flat sum as (variable index, exponent) for x^k, or
+    (None, number) for n or n/d in the domain; None if it is neither, or a
+    number the recursive-descent parser rejects."""
+    name, caret, power = factor.partition("^")
+    if caret:
+        i = index.get(name)
+        return None if i is None or not _is_natural(power) else (i, int(power))
+    num, slash, den = factor.partition("/")
+    if not _is_natural(num) or slash and (not _is_natural(den)
+                                          or int(den) == 0):
+        return None
+    try:
+        return None, domain.normalize(Fraction(int(num), int(den)) if slash
+                                      else int(num))
+    except DomainError:
+        return None
 
 
 def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:

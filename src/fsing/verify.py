@@ -41,7 +41,9 @@ def verify_witness_data(data: dict, test_element: bool = False) -> bool:
     p = int(data["p"])
     e = int(data["e"])
     q = int(data["q"])
-    if e < 1 or q != p ** e:
+    # p**e >= 2**e > e, so a larger e cannot match q; bounding e first keeps
+    # a forged exponent from costing the power
+    if p < 2 or e < 1 or e >= q.bit_length() or q != p ** e:
         return False
     dom = prime_field(p)
     names = list(data["variables"])
@@ -110,16 +112,27 @@ def verify_witness_data(data: dict, test_element: bool = False) -> bool:
 
 
 def verify_certificate_file(path: str) -> bool:
-    with open(path, "r", encoding="utf-8") as fh:
-        cert = json.load(fh)
-    if "certificate" in cert and "status" not in cert:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cert = json.load(fh)
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or UTF-8
+        print(f"certificate file unreadable: {type(exc).__name__}: {exc}")
+        return False
+    if isinstance(cert, dict) and "certificate" in cert \
+            and "status" not in cert:
         cert = cert["certificate"]
+    if not isinstance(cert, dict):
+        print("certificate is not a JSON object")
+        return False
     if cert.get("status") != "certified":
         print("certificate is not a positive certificate; nothing to verify")
         return True
     data = cert.get("verification")
     if data is None:
         print("certificate carries no verification block")
+        return False
+    if not isinstance(data, dict):
+        print("verification block is not a JSON object")
         return False
     if "escape_indices" in data and cert.get("theorem_tag") != GSFR_TAG:
         print("escape_indices are allowed only in a "

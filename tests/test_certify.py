@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -403,6 +404,34 @@ class TestCertificateContract:
             capture_output=True, text=True,
             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 1
+
+    def test_huge_exponent_rejected_before_the_power(self):
+        data = dict(self.fermat_lc_certificate()["verification"], e=10**9)
+        start = time.perf_counter()
+        assert not verify_witness_data(data)
+        assert time.perf_counter() - start < 0.5
+        for p in (1, 0, -7):
+            assert not verify_witness_data(dict(data, p=p, e=1, q=p))
+
+    @pytest.mark.parametrize("content", [
+        "[]", '"x"', "3", "{not json", '{"certificate": []}',
+        '{"certificate": "x"}', b"\xff\xfe",
+        '{"status": "certified", "verification": []}',
+        '{"status": "certified", "verification": 7}'])
+    def test_malformed_file_fails_closed(self, tmp_path, capsys, content):
+        from fsing.verify import main as verify_main
+
+        path = tmp_path / "cert.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        assert verify_main([str(path)]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1] == "witness verification: FAIL"
+        assert len(out.splitlines()) == 2   # the reason, then the verdict
+        assert verify_main([str(tmp_path / "missing.json")]) == 1
+        assert "unreadable" in capsys.readouterr().out
 
 
 class TestCorpusRunner:

@@ -542,14 +542,25 @@ _FUZZ_VARIABLES = [["x", "y", "z"], ["x", "y", "é", "x²", "_t"],
 
 @st.composite
 def parser_texts(draw):
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["tokens", "nested", "flat"]))
+    if kind == "tokens":
         text = "".join(draw(st.lists(st.sampled_from(_FUZZ_TOKENS),
                                      max_size=30)))
     else:
         # a well-formed text, then truncated or with one character replaced
-        f = Polynomial(RATIONALS, 3, draw(st.dictionaries(
-            st.tuples(*[st.integers(0, 4)] * 3), coeff_q, max_size=5)))
-        text = f"({f.to_string(XYZ)})^{draw(st.integers(0, 3))} * x - 1/3"
+        monos = st.tuples(*[st.integers(0, 4)] * 3)
+        if kind == "nested":
+            f = Polynomial(RATIONALS, 3, draw(st.dictionaries(
+                monos, coeff_q, max_size=5)))
+            text = f"({f.to_string(XYZ)})^{draw(st.integers(0, 3))} * x - 1/3"
+        else:
+            # the plain sum of monomials that to_string writes
+            p = draw(st.sampled_from([None, 3, 5]))
+            f = Polynomial(RATIONALS if p is None else prime_field(p), 3,
+                           draw(st.dictionaries(
+                               monos, coeff_q if p is None
+                               else st.integers(1, p - 1), max_size=6)))
+            text = f.to_string(draw(st.sampled_from([XYZ, ["_t", "x", "y"]])))
         cut = draw(st.integers(0, len(text)))
         if draw(st.booleans()):
             text = text[:cut]
@@ -562,7 +573,7 @@ def parser_texts(draw):
 class TestParserAgainstReference:
     @given(parser_texts(), st.sampled_from(_FUZZ_VARIABLES),
            st.sampled_from([None, 3, 5]))
-    @settings(max_examples=600, deadline=None, derandomize=True)
+    @settings(max_examples=900, deadline=None, derandomize=True)
     def test_same_terms_or_same_error(self, text, variables, p):
         dom = RATIONALS if p is None else prime_field(p)
         assert (_parse_outcome(parse_polynomial, text, variables, dom)
@@ -572,6 +583,9 @@ class TestParserAgainstReference:
         "x ²", "x^٣", "é*x² + _t", "x\x1c+ y", "x $", "(x $", "x + ",
         "1/0", "1/3", "x^", "()", "x y $", "2 ^ 3 / 3", "\x1c", "",
         "2٣*x", "x^2٣", "1/2٣", "x\u00a0+\u2009y",
+        # flat sums, and near misses that must read as the recursive path
+        "x  + y", "x*3", "3*4", "- x", "+x", "x + -y", "x - x", "0*x + y",
+        "x + x", " x", "x ", "1/2*x", "x^",
     ])
     def test_examples(self, text):
         for variables in _FUZZ_VARIABLES:
