@@ -50,10 +50,8 @@ class Budget:
     used: int = 0
 
     def tick(self, n: int = 1):
-        """Charge n steps as n single ticks: an overrun stops at limit + 1."""
         self.used += n
         if self.used > self.limit:
-            self.used = self.limit + 1
             raise BudgetExceededError(
                 f"reduction budget of {self.limit} steps exceeded")
 
@@ -314,7 +312,7 @@ def _buchberger(basis, packing: Packing, budget: Budget, block: int):
 def _reduce_basis(members, polys, packing: Packing, dom, budget: Budget):
     """Minimalize and tail-reduce monic packed members; ``polys[i]`` is the
     Polynomial of member i when it is an input, else None."""
-    guard, dm, one = packing.guard, packing.deg_mask, dom.one()
+    guard, one = packing.guard, dom.one()
     # minimalize: drop members whose lm is divisible by another lm
     lms = [d[0] for d in members]
     keep = [i for i, m in enumerate(lms)
@@ -329,15 +327,6 @@ def _reduce_basis(members, polys, packing: Packing, dom, budget: Budget):
             poly = polys[keep[i]]
             reduced.append((d[0], poly if poly is not None
                             else _member_polynomial(d, packing, dom)))
-            continue
-        if not any(((m | guard) - e[0]) & guard == guard
-                   for m, _ in d[2] for e in minimal):
-            # no lm divides a tail term (its own cannot: the term is
-            # smaller), so reducing would pop every term once and keep it
-            budget.tick(len(d[2]) + 1)
-            tail = sorted(d[2], key=lambda t: t[0] - ((t[0] & dm) << 1))
-            reduced.append((d[0], _member_polynomial((d[0], one, tail),
-                                                     packing, dom)))
             continue
         work = dict(d[2])
         work[d[0]] = one

@@ -617,8 +617,7 @@ class Polynomial:
         if var_names is None:
             var_names = default_variable_names(self.nvars)
         parts = []
-        # descending _grevlex_key: the monomials are distinct, so no ties
-        for mono in sorted(self.terms, key=lambda m: (-sum(m), m[::-1])):
+        for mono in sorted(self.terms, key=_grevlex_key, reverse=True):
             coeff = self.terms[mono]
             factors = [f"{var_names[i]}^{e}" if e > 1 else var_names[i]
                        for i, e in enumerate(mono) if e > 0]
@@ -714,17 +713,7 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
             if negate or t == "+":
                 i += 1
             for m, c in parse_term().items():
-                if negate:
-                    c = -c % p if p else -c
-                w = acc.get(m)
-                if w is None:
-                    acc[m] = c
-                else:
-                    s = (w + c) % p if p else w + c
-                    if s:
-                        acc[m] = s
-                    else:
-                        del acc[m]
+                _add_term(acc, m, c, negate, p)
             t = toks[i]
             if t != "+" and t != "-":
                 return Polynomial(domain, nvars, acc, _clean=True)
@@ -744,11 +733,8 @@ def parse_polynomial(text: str, variables, domain: CoefficientDomain) -> Polynom
                 mono[index[t]] += natural("^", 1)
             elif t[:1] in _DIGITS:
                 c = int(t)
-                d = natural("/")
-                if d == 0:
-                    fail("division by zero", i - 1)
                 try:
-                    c = domain.normalize(c if d is None else Fraction(c, d))
+                    c = _number(c, natural("/"), domain)
                 except DomainError as exc:
                     fail(str(exc), i - 1)
                 k = natural("^", 1)
@@ -797,8 +783,9 @@ def _parse_flat(text: str, index: dict, nvars: int,
     writes: an optional leading '-', terms joined by ' + ' or ' - ', each
     term numbers (n or n/d) and names (x or x^k) joined by '*'.  None for
     any other text, and for one the recursive-descent parser would reject;
-    that parser then reads it.  Terms are built, negated and summed as that
-    parser does, so they come out equal and in the same order."""
+    that parser then reads it.  Numbers are read and terms summed by the
+    helpers that parser uses, so they come out equal and in the same
+    order."""
     p = domain.p
     one = domain.one()
     # each factor read so far: (variable index, exponent) or (None, number)
@@ -824,19 +811,8 @@ def _parse_flat(text: str, index: dict, nvars: int,
                 coeff = coeff * v % p if p else coeff * v
             else:
                 mono[i] += v
-        if coeff == 0:
-            continue
-        m = tuple(mono)
-        c = (-coeff % p if p else -coeff) if negate else coeff
-        w = acc.get(m)
-        if w is None:
-            acc[m] = c
-        else:
-            s = (w + c) % p if p else w + c
-            if s:
-                acc[m] = s
-            else:
-                del acc[m]
+        if coeff:
+            _add_term(acc, tuple(mono), coeff, negate, p)
     return Polynomial(domain, nvars, acc, _clean=True)
 
 
@@ -849,14 +825,36 @@ def _flat_factor(factor: str, index: dict, domain: CoefficientDomain):
         i = index.get(name)
         return None if i is None or not _is_natural(power) else (i, int(power))
     num, slash, den = factor.partition("/")
-    if not _is_natural(num) or slash and (not _is_natural(den)
-                                          or int(den) == 0):
+    if not _is_natural(num) or slash and not _is_natural(den):
         return None
     try:
-        return None, domain.normalize(Fraction(int(num), int(den)) if slash
-                                      else int(num))
+        return None, _number(int(num), int(den) if slash else None, domain)
     except DomainError:
         return None
+
+
+def _number(num: int, den: int | None, domain: CoefficientDomain):
+    """num, or num/den, in ``domain``; DomainError for a zero denominator
+    or one the domain cannot invert."""
+    if den == 0:
+        raise DomainError("division by zero")
+    return domain.normalize(num if den is None else Fraction(num, den))
+
+
+def _add_term(acc: dict, m, c, negate: bool, p: int | None):
+    """Add the term c*x^m, negated when asked, to the term dict ``acc``,
+    modulo p unless p is None; a monomial that cancels is deleted."""
+    if negate:
+        c = -c % p if p else -c
+    w = acc.get(m)
+    if w is None:
+        acc[m] = c
+    else:
+        s = (w + c) % p if p else w + c
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
 
 
 def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:

@@ -41,9 +41,11 @@ def verify_witness_data(data: dict, test_element: bool = False) -> bool:
     p = int(data["p"])
     e = int(data["e"])
     q = int(data["q"])
-    # p**e >= 2**e > e, so a larger e cannot match q; bounding e first keeps
-    # a forged exponent from costing the power
-    if p < 2 or e < 1 or e >= q.bit_length() or q != p ** e:
+    # p**e >= 2**((bits(p) - 1) * e), so when that exponent reaches bits(q)
+    # the power cannot match q; bounding it first keeps a forged p or e from
+    # costing the power, which then has fewer than 2 * bits(q) bits
+    if p < 2 or e < 1 or (p.bit_length() - 1) * e >= q.bit_length() \
+            or q != p ** e:
         return False
     dom = prime_field(p)
     names = list(data["variables"])

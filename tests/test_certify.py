@@ -409,6 +409,9 @@ class TestCertificateContract:
         data = dict(self.fermat_lc_certificate()["verification"], e=10**9)
         start = time.perf_counter()
         assert not verify_witness_data(data)
+        # a large p with an e below bits(q) would still cost a huge power
+        big = 10**4299
+        assert not verify_witness_data(dict(data, p=big, q=big, e=14000))
         assert time.perf_counter() - start < 0.5
         for p in (1, 0, -7):
             assert not verify_witness_data(dict(data, p=p, e=1, q=p))

@@ -766,49 +766,6 @@ class TestColonAgainstParts:
             pass
 
 
-def _reduce_every_member(members, polys, packing, dom, budget):
-    """A literal ``groebner._reduce_basis``: minimalise, then reduce the
-    whole of every member (one ``_reduce`` pass each, with no scan for
-    members already reduced) against the others."""
-    guard, one = packing.guard, dom.one()
-    lms = [d[0] for d in members]
-    keep = [i for i, m in enumerate(lms)
-            if not any(j != i and ((m | guard) - g) & guard == guard
-                       and (g != m or j < i) for j, g in enumerate(lms))]
-    minimal = [members[i] for i in keep]
-    reduced = []
-    for i, d in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        if not others:
-            poly = polys[keep[i]]
-            reduced.append((d[0], poly if poly is not None
-                            else groebner._member_polynomial(d, packing, dom)))
-            continue
-        work = dict(d[2])
-        work[d[0]] = one
-        rem = groebner._reduce(work, others, packing, dom, budget)
-        if rem:
-            r = groebner._monic(rem, dom)
-            reduced.append((r[0], groebner._member_polynomial(r, packing,
-                                                              dom)))
-    reduced.sort(key=lambda r: -packing.key(r[0]))
-    return tuple(poly for _, poly in reduced)
-
-
-def _terms_outcome(call, limit, literal):
-    """(each generator's terms in order, or BudgetExceededError;
-    Budget.used) of call(budget), with ``groebner._reduce_basis`` replaced
-    by the literal one when asked."""
-    budget = Budget(limit)
-    with mock.patch.object(groebner, "_reduce_basis", _reduce_every_member
-                           if literal else groebner._reduce_basis):
-        try:
-            out = [list(g.terms.items()) for g in call(budget)]
-        except BudgetExceededError:
-            out = BudgetExceededError
-    return out, budget.used
-
-
 def _spoiled(basis, rng):
     """The reduced ``basis`` (ascending), every other member with a
     multiple of an earlier member added, of smaller leading monomial, and
@@ -826,70 +783,26 @@ def _spoiled(basis, rng):
     return out
 
 
-class TestTailReductionSkip:
-    """``_reduce_basis`` keeps a member none of whose terms another
-    member's leading monomial divides without a ``_reduce`` pass, charging
-    the steps that pass would have taken; its bases, term orders and step
-    counts must be those of reducing every member."""
+class TestInterreduced:
+    """``_interreduced`` finishes a Groebner basis with minimalisation and
+    tail reduction alone; on a basis that is not reduced it must give the
+    reduced basis."""
 
-    CASES = [
+    @pytest.mark.parametrize("p,texts", [
         (None, ("x^2 - y*z + 1/2*x", "x*y^2 - z^3", "x*z - y^2")),
         (3, ("x^3 - y*z", "y^3 - x*z^2", "x*y*z - z^2")),
         (5, ("x^2 + 2*y*z", "y^2 + 3*x*z", "z^2 + x*y + 1")),
         (2, ("x^2 + y*z + z", "y^2 + x*z", "z^3 + x*y")),
-    ]
-
-    def mixed_basis(self, p, texts, seed):
-        """A Groebner basis, not reduced, whose reduction reduces some
-        tails and keeps others; and the reduced basis."""
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_spoiled_basis_comes_back_reduced(self, p, texts, seed):
         dom = _field(p)
         reduced = buchberger([P(t, ("x", "y", "z"), dom) for t in texts])
         gens = _spoiled(reduced, random.Random(seed))
-        calls = []
-        real = groebner._reduce
-        with mock.patch.object(groebner, "_reduce", lambda *a, **k:
-                               calls.append(1) or real(*a, **k)):
-            assert groebner._interreduced(gens, Budget()) == reduced
-        assert 0 < len(calls) < len(reduced)
-        return gens, reduced
-
-    @pytest.mark.parametrize("p,texts", CASES)
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_reducing_every_member(self, p, texts, seed):
-        gens, _ = self.mixed_basis(p, texts, seed)
-        for call in (lambda b: groebner._interreduced(gens, b),
-                     lambda b: buchberger(gens, GREVLEX, b)):
-            total = _terms_outcome(call, 10**6, True)[1]
-            for limit in range(total + 2):
-                assert _terms_outcome(call, limit, False) == \
-                    _terms_outcome(call, limit, True)
-
-    @pytest.mark.parametrize("p,texts", CASES)
-    def test_budget_runs_out_inside_a_kept_member(self, p, texts):
-        dom = _field(p)
-        reduced = buchberger([P(t, ("x", "y", "z"), dom) for t in texts])
-        # every member is kept as it is: one step per term, none reduced
-        total = sum(len(g.terms) for g in reduced)
-        budget = Budget(total)
-        with mock.patch.object(groebner, "_reduce", None):
-            assert groebner._interreduced(reduced, budget) == reduced
-        assert budget.used == total
-        for limit in (0, len(reduced[0].terms), total - 1):
-            budget = Budget(limit)
-            with pytest.raises(BudgetExceededError):
-                groebner._interreduced(reduced, budget)
-            assert budget.used == limit + 1
-
-    @given(st.sampled_from(FIELDS), st.lists(colon_terms, min_size=2,
-                                             max_size=4),
-           st.integers(0, 400))
-    @settings(max_examples=80, deadline=None, derandomize=True)
-    def test_random_ideals(self, p, terms, limit):
-        dom = _field(p)
-        gens = [Polynomial(dom, 3, t) for t in terms]
-        call = lambda b: buchberger(gens, GREVLEX, b)   # noqa: E731
-        assert _terms_outcome(call, limit, False) == \
-            _terms_outcome(call, limit, True)
+        assert gens != list(reduced)
+        out = groebner._interreduced(gens, Budget())
+        assert [list(g.terms.items()) for g in out] == \
+            [list(g.terms.items()) for g in reduced]
 
 
 class TestBudget:
