@@ -429,9 +429,9 @@ def parse_input(data: dict) -> TripleSpec:
 def parse_job(data: dict, mode: str | None = None, **overrides) -> JobSpec:
     spec = parse_input(data)
     # keys absent from the input keep JobSpec's defaults
-    casts = {"prime": None, "e_max": int, "gb_budget": int,
-             "assert_q_gorenstein": bool, "level": int, "n_max": int,
-             "name": None}
+    casts = {"prime": lambda p: p if p is None else int(p), "e_max": int,
+             "gb_budget": int, "assert_q_gorenstein": bool, "level": int,
+             "n_max": int, "name": None}
     job = JobSpec(spec, mode or data.get("mode", "lc"),
                   **{key: cast(data[key]) if cast else data[key]
                      for key, cast in casts.items() if key in data})

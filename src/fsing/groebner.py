@@ -22,7 +22,7 @@ exceeding it raises BudgetExceededError.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
+from bisect import bisect, insort
 from dataclasses import dataclass
 from itertools import groupby
 
@@ -49,8 +49,8 @@ class Budget:
     limit: int = DEFAULT_GB_BUDGET
     used: int = 0
 
-    def tick(self, n: int = 1):
-        self.used += n
+    def tick(self):
+        self.used += 1
         if self.used > self.limit:
             raise BudgetExceededError(
                 f"reduction budget of {self.limit} steps exceeded")
@@ -223,9 +223,9 @@ def _groebner(gens, order: MonomialOrder, budget: Budget | None,
 
 def _interreduced(gens, budget: Budget | None):
     """The reduced grevlex basis of ``gens``, which must be a grevlex
-    Groebner basis: only minimalisation and tail reduction, no S-pair."""
+    Groebner basis: one ``_reduce_basis`` pass, no S-pair."""
     return _packed_run(gens, GREVLEX, budget, lambda basis, packing, budget:
-                       _reduce_basis([g.packed(packing) for g in basis], basis,
+                       _reduce_basis([g.packed(packing) for g in basis],
                                      packing, basis[0].domain, budget))
 
 
@@ -247,7 +247,6 @@ def _buchberger(basis, packing: Packing, budget: Budget, block: int):
     """Buchberger on monic packed members; see ``_groebner``."""
     dom = basis[0].domain
     p, guard, pack = dom.p, packing.guard, packing.pack
-    polys = list(basis)
     members = [g.packed(packing) for g in basis]
     lms = [d[0] for d in members]
     index = sorted((m, i) for i, m in enumerate(lms))
@@ -301,47 +300,38 @@ def _buchberger(basis, packing: Packing, budget: Budget, block: int):
             lm_tuples.append(packing.unpack(rem[0][0]))
             sugars.append(max(pair_sugar,
                               max(packing.degree(P) for P, _ in rem)))
-            polys.append(None)
             for k in range(new_index):
                 heapq.heappush(pairs, pair_data(k, new_index))
-    keep = [i for i, m in enumerate(lm_tuples) if not any(m[:block])]
-    return _reduce_basis([members[i] for i in keep],
-                         [polys[i] for i in keep], packing, dom, budget)
+    return _reduce_basis([d for d, m in zip(members, lm_tuples)
+                          if not any(m[:block])], packing, dom, budget)
 
 
-def _reduce_basis(members, polys, packing: Packing, dom, budget: Budget):
-    """Minimalize and tail-reduce monic packed members; ``polys[i]`` is the
-    Polynomial of member i when it is an input, else None."""
+def _reduce_basis(members, packing: Packing, dom, budget: Budget):
+    """The reduced basis of the monic packed members of a Groebner basis,
+    in one pass in ascending order: a member is dropped when a kept leading
+    monomial divides its own, else its tail is reduced by the kept members,
+    reduced already and, being below it, the only ones that can divide a
+    term of it; so its remainder starts with (lm, 1)."""
     guard, one = packing.guard, dom.one()
-    # minimalize: drop members whose lm is divisible by another lm
-    lms = [d[0] for d in members]
-    keep = [i for i, m in enumerate(lms)
-            if not any(j != i and ((m | guard) - g) & guard == guard
-                       and (g != m or j < i) for j, g in enumerate(lms))]
-    minimal = [members[i] for i in keep]
-    # tail-reduce each member against the others
-    reduced = []
-    for i, d in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        if not others:
-            poly = polys[keep[i]]
-            reduced.append((d[0], poly if poly is not None
-                            else _member_polynomial(d, packing, dom)))
+    kept, index, out = [], [], []
+    # ascending in the order: descending in the key; stable, so of equal
+    # leading monomials the first is kept
+    for d in sorted(members, key=lambda d: -packing.key(d[0])):
+        lm = d[0]
+        # a divisor's packed monomial is never larger than its multiple's
+        if any(((lm | guard) - gm) & guard == guard
+               for gm, _ in index[:bisect(index, (lm + 1,))]):
             continue
-        work = dict(d[2])
-        work[d[0]] = one
-        rem = _reduce(work, others, packing, dom, budget)
-        if rem:
-            r = _monic(rem, dom)
-            reduced.append((r[0], _member_polynomial(r, packing, dom)))
-    # ascending in the order: descending in the key
-    reduced.sort(key=lambda r: -packing.key(r[0]))
-    return tuple(poly for _, poly in reduced)
-
-
-def _member_polynomial(d, packing: Packing, dom) -> Polynomial:
-    """The Polynomial of a monic packed member, its divisor data cached."""
-    return packing.polynomial(dom, [(d[0], dom.one())] + d[2], d)
+        if kept:    # the smallest member is reduced already
+            work = dict(d[2])
+            work[lm] = one
+            d = (lm, one, _reduce(work, kept, packing, dom, budget,
+                                  index=index)[1:])
+        insort(index, (lm, len(kept)))
+        kept.append(d)
+        # its Polynomial, its divisor data cached
+        out.append(packing.polynomial(dom, [(lm, one)] + d[2], d))
+    return tuple(out)
 
 
 def _sorted(gens, order: MonomialOrder, distinct: bool = False) -> list:

@@ -32,6 +32,9 @@ from .polycore import Polynomial, ceil_frac, parse_polynomial, prime_field
 GSFR_TAG = "geometric-sfr-from-perfected-base"
 # The one theorem whose witness needs no test-element factor.
 LC_TAG = "lc-from-sharp-f-purity-at-one-prime"
+# The one conclusion each of those weaker checks may certify.
+TAG_CONCLUSIONS = ((LC_TAG, "log_canonical"),
+                   (GSFR_TAG, "geometrically_strongly_F_regular"))
 
 
 def verify_witness_data(data: dict, test_element: bool = False) -> bool:
@@ -136,13 +139,17 @@ def verify_certificate_file(path: str) -> bool:
     if not isinstance(data, dict):
         print("verification block is not a JSON object")
         return False
-    if "escape_indices" in data and cert.get("theorem_tag") != GSFR_TAG:
+    tag = cert.get("theorem_tag")
+    if any(tag == t and cert.get("conclusion") != c
+           for t, c in TAG_CONCLUSIONS):
+        print(f"a {tag} certificate certifies nothing but its own conclusion")
+        return False
+    if "escape_indices" in data and tag != GSFR_TAG:
         print("escape_indices are allowed only in a "
               f"{GSFR_TAG} certificate")
         return False
     try:
-        return verify_witness_data(
-            data, test_element=cert.get("theorem_tag") != LC_TAG)
+        return verify_witness_data(data, test_element=tag != LC_TAG)
     except Exception as exc:  # malformed data must fail closed, not crash
         print(f"verification data unusable: {type(exc).__name__}: {exc}")
         return False

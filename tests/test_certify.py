@@ -260,6 +260,16 @@ class TestCertifyGsfr:
                     escape_indices=indices)
         assert not verify_witness_data(data)
 
+    @pytest.mark.parametrize("conclusion", [
+        "klt", "strongly_F_regular", "log_canonical", None])
+    def test_conclusion_relabelled_rejected(self, tmp_path, conclusion):
+        # the fiber-only escape proves geometric strong F-regularity alone
+        cert = certify_gsfr(self.gsfr_job("t^5*x")).to_dict()
+        cert["conclusion"] = conclusion
+        path = tmp_path / "gsfr.json"
+        path.write_text(json.dumps(cert))
+        assert not verify_certificate_file(str(path))
+
 
 class TestDeformation:
     def quadric4(self):
@@ -357,6 +367,17 @@ class TestCertificateContract:
         # no test-element factor: not a strong F-regularity witness
         cert["theorem_tag"] = "klt-from-strong-f-regularity-at-one-prime"
         cert["conclusion"] = "klt"
+        path.write_text(json.dumps(cert))
+        assert not verify_certificate_file(str(path))
+
+    @pytest.mark.parametrize("conclusion", [
+        "klt", "strongly_F_regular", "geometrically_strongly_F_regular",
+        None])
+    def test_lc_conclusion_relabelled_rejected(self, tmp_path, conclusion):
+        # the lc tag waives the test-element check, so it may certify lc only
+        cert = self.fermat_lc_certificate()
+        cert["conclusion"] = conclusion
+        path = tmp_path / "lc.json"
         path.write_text(json.dumps(cert))
         assert not verify_certificate_file(str(path))
 
@@ -503,6 +524,26 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    def test_prime_cast_like_e_max(self):
+        assert lc_job(prime="7", e_max="1").prime == 7
+        assert lc_job(prime=None).prime is None
+        assert lc_job().prime is None
+
+    def test_string_prime_certifies(self, tmp_path, capsys):
+        data = {"variables": ["x", "y"], "coefficient": "Q",
+                "delta": [{"g": "x^2 + y^3", "c": "5/6"}], "prime": "7",
+                "e_max": 1}
+        assert self.run_main(tmp_path, "lc", data) == 0
+        cert = json.loads(capsys.readouterr().out)["certificate"]
+        assert cert["prime"] == 7 and cert["status"] == "certified"
+
+    def test_non_integer_prime_exits_2(self, tmp_path, capsys):
+        data = {"variables": ["x", "y"], "coefficient": "Q",
+                "delta": [{"g": "x^2 + y^3", "c": "5/6"}], "prime": "seven"}
+        assert self.run_main(tmp_path, "lc", data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_tau_at_refused_fp_prime_exits_2(self, tmp_path, capsys):
         data = {"variables": ["x", "y"], "coefficient": "Fp", "p": 3,

@@ -783,26 +783,69 @@ def _spoiled(basis, rng):
     return out
 
 
+XYZ = ("x", "y", "z")
+BASES = [
+    (None, ("x^2 - y*z + 1/2*x", "x*y^2 - z^3", "x*z - y^2")),
+    (3, ("x^3 - y*z", "y^3 - x*z^2", "x*y*z - z^2")),
+    (5, ("x^2 + 2*y*z", "y^2 + 3*x*z", "z^2 + x*y + 1")),
+    (2, ("x^2 + y*z + z", "y^2 + x*z", "z^3 + x*y")),
+]
+
+
 class TestInterreduced:
     """``_interreduced`` finishes a Groebner basis with minimalisation and
     tail reduction alone; on a basis that is not reduced it must give the
     reduced basis."""
 
-    @pytest.mark.parametrize("p,texts", [
-        (None, ("x^2 - y*z + 1/2*x", "x*y^2 - z^3", "x*z - y^2")),
-        (3, ("x^3 - y*z", "y^3 - x*z^2", "x*y*z - z^2")),
-        (5, ("x^2 + 2*y*z", "y^2 + 3*x*z", "z^2 + x*y + 1")),
-        (2, ("x^2 + y*z + z", "y^2 + x*z", "z^3 + x*y")),
-    ])
+    @pytest.mark.parametrize("p,texts", BASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_spoiled_basis_comes_back_reduced(self, p, texts, seed):
-        dom = _field(p)
-        reduced = buchberger([P(t, ("x", "y", "z"), dom) for t in texts])
+        reduced = buchberger([P(t, XYZ, _field(p)) for t in texts])
         gens = _spoiled(reduced, random.Random(seed))
         assert gens != list(reduced)
         out = groebner._interreduced(gens, Budget())
         assert [list(g.terms.items()) for g in out] == \
             [list(g.terms.items()) for g in reduced]
+
+    @pytest.mark.parametrize("p,texts", BASES)
+    def test_reduced_basis_costs_one_step_per_term_above_the_smallest(
+            self, p, texts):
+        reduced = buchberger([P(t, XYZ, _field(p)) for t in texts])
+        budget = Budget()
+        out = groebner._interreduced(list(reduced), budget)
+        assert [list(g.terms.items()) for g in out] == \
+            [list(g.terms.items()) for g in reduced]
+        # nothing reduces a term, and the smallest member is not reduced
+        assert budget.used == sum(len(g.terms) for g in reduced[1:])
+
+    def test_f3_reduced_basis_steps(self):
+        reduced = buchberger([P(t, XYZ, _field(3)) for t in BASES[1][1]])
+        budget = Budget()
+        groebner._interreduced(list(reduced), budget)
+        assert budget.used == 14
+
+    @pytest.mark.parametrize("p,texts", BASES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_each_member_reduced_by_the_members_below(self, p, texts, seed):
+        reduced = buchberger([P(t, XYZ, _field(p)) for t in texts])
+        # and two members a kept leading monomial divides, dropped unreduced
+        x = Polynomial.variable(reduced[0].domain, 3, 0)
+        gens = _spoiled(reduced, random.Random(seed)) + [reduced[0] * x,
+                                                          reduced[1] * 2]
+        seen = []
+
+        def spy(work, divs, packing, *args, **kwargs):
+            lead = min(work, key=packing.key)
+            seen.append((packing.unpack(lead),
+                         [packing.unpack(d[0]) for d in divs]))
+            return real(work, divs, packing, *args, **kwargs)
+
+        real = groebner._reduce
+        with mock.patch.object(groebner, "_reduce", spy):
+            out = groebner._interreduced(gens, Budget())
+        assert out == reduced
+        lms = [g.leading_monomial() for g in out]
+        assert seen == [(lms[i], lms[:i]) for i in range(1, len(out))]
 
 
 class TestBudget:
