@@ -793,9 +793,9 @@ BASES = [
 
 
 class TestInterreduced:
-    """``_interreduced`` finishes a Groebner basis with minimalisation and
-    tail reduction alone; on a basis that is not reduced it must give the
-    reduced basis."""
+    """``_interreduced`` finishes a Groebner basis in one ascending pass,
+    with no S-pair; on a basis that is not reduced it must give the reduced
+    basis."""
 
     @pytest.mark.parametrize("p,texts", BASES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -830,8 +830,8 @@ class TestInterreduced:
         reduced = buchberger([P(t, XYZ, _field(p)) for t in texts])
         # and two members a kept leading monomial divides, dropped unreduced
         x = Polynomial.variable(reduced[0].domain, 3, 0)
-        gens = _spoiled(reduced, random.Random(seed)) + [reduced[0] * x,
-                                                          reduced[1] * 2]
+        gens = _spoiled(reduced, random.Random(seed)) + [
+            reduced[0] * x, reduced[1] + reduced[0]]
         seen = []
 
         def spy(work, divs, packing, *args, **kwargs):
