@@ -42,17 +42,9 @@ from .triples import (
     polynomial_ring,
     quotient_ring,
 )
-from .verify import GSFR_TAG, LC_TAG, verify_witness_data
+from .verify import THEOREMS, verify_witness_data
 
 CERT_VERSION = "cert_v1"
-
-THEOREM_TAGS = {
-    "lc": LC_TAG,
-    "klt": "klt-from-strong-f-regularity-at-one-prime",
-    "sfr": "strong-f-regularity-glassbrenner-witness",
-    "gsfr": GSFR_TAG,
-    "deform": "sfr-deformation-consistency",
-}
 
 
 class CertifyError(Exception):
@@ -168,9 +160,12 @@ def _witness_verification(ring: RingPresentation, spec: TripleSpec,
     return out
 
 
-def _emit(conclusion: str, tag: str, prime, witness: FPurityWitness | None,
+def _emit(mode: str, prime, witness: FPurityWitness | None,
           spec_p: TripleSpec | None, assumptions, primes_tried,
           details=None, escape_indices=None) -> Certificate:
+    """The certificate of ``mode``'s theorem (``verify.THEOREMS``): its one
+    conclusion with a witness, "inconclusive" without one."""
+    tag, conclusion = THEOREMS[mode]
     ver = None
     exponent = None
     element = None
@@ -265,8 +260,7 @@ def certify_log_canonical(job: JobSpec) -> Certificate:
 
     assumptions = _base_assumptions(job, _qgor_machine_checked(job.spec))
     p, spec_p, witness, tried = _sweep_primes(job, True, attempt)
-    return _emit("log_canonical", THEOREM_TAGS["lc"], p, witness, spec_p,
-                 assumptions, tried)
+    return _emit("lc", p, witness, spec_p, assumptions, tried)
 
 
 def certify_klt(job: JobSpec) -> Certificate:
@@ -294,11 +288,9 @@ def certify_klt(job: JobSpec) -> Certificate:
         result = strongly_fregular(spec_p, c_p, job.e_max, budget)
         return result.status, result.witness
 
-    kind, conclusion = (("sfr", "strongly_F_regular") if fp_native
-                        else ("klt", "klt"))
     p, spec_p, witness, tried = _sweep_primes(job, not fp_native, attempt)
     # an F_p input keeps its own prime, certified or not
-    return _emit(conclusion, THEOREM_TAGS[kind], job.spec.ring.domain.p or p,
+    return _emit("sfr" if fp_native else "klt", job.spec.ring.domain.p or p,
                  witness, spec_p, assumptions, tried)
 
 
@@ -318,8 +310,7 @@ def certify_gsfr(job: JobSpec) -> Certificate:
                                  job.test_element, job.e_max, job.budget())
     tried = [{"prime": p, "status": result.status, "level": job.level}]
     # _emit turns a missing witness into "inconclusive"
-    return _emit("geometrically_strongly_F_regular", THEOREM_TAGS["gsfr"],
-                 p, result.witness, result.model, assumptions, tried,
+    return _emit("gsfr", p, result.witness, result.model, assumptions, tried,
                  details={"level": job.level},
                  escape_indices=job.spec.ring.fiber_vars)
 
@@ -367,8 +358,8 @@ def verify_deformation_sfr(ring: RingPresentation, h: Polynomial,
 
     p = dom.p
     if slice_result.certified and total_result.certified:
-        cert = _emit("deformation_consistent", THEOREM_TAGS["deform"], p,
-                     total_result.witness, total_spec, assumptions,
+        cert = _emit("deform", p, total_result.witness, total_spec,
+                     assumptions,
                      [{"prime": p,
                        "status": f"slice certified at e={slice_result.e}, "
                                  f"total at e={total_result.e}"}],
@@ -382,8 +373,7 @@ def verify_deformation_sfr(ring: RingPresentation, h: Polynomial,
             failed.append("hypothesis not established: slice inconclusive")
         if not total_result.certified:
             failed.append("total space inconclusive")
-        cert = _emit("inconclusive", THEOREM_TAGS["deform"], p, None, None,
-                     assumptions,
+        cert = _emit("deform", p, None, None, assumptions,
                      [{"prime": p, "status": "; ".join(failed)}],
                      details={"theorem_violation_candidate": violation})
     return DeformationReport(slice_result, total_result, cert, violation)
@@ -426,15 +416,45 @@ def parse_input(data: dict) -> TripleSpec:
     return TripleSpec(ring, DivisorData(tuple(comps)), a, lam)
 
 
+# The job keys an input or a CLI option may set: kind, least value, meaning.
+# A null value, or an override of None, leaves the key at its default.
+JOB_KEYS = {
+    "prime": (int, 2, "the prime to reduce at"),
+    "e_max": (int, 1, "largest Frobenius exponent tried"),
+    "gb_budget": (int, 1, "reduction steps per prime"),
+    "level": (int, 0, "perfection level"),
+    "n_max": (int, 0, "tau truncation level"),
+    "assert_q_gorenstein": (bool, None, "Q-Gorenstein assertion"),
+}
+
+
+def _job_value(key: str, value):
+    """``value`` for ``key``: a JSON true or false for a flag; a JSON
+    integer or a decimal string, at least the key's least value, for a
+    number.  Anything else is refused, never cast."""
+    kind, least, meaning = JOB_KEYS[key]
+    if kind is bool:
+        if type(value) is not bool:
+            raise CertifyError(f"{key} ({meaning}) must be true or false, "
+                               f"not {value!r}")
+        return value
+    if isinstance(value, str) and value.isdecimal():
+        value = int(value)
+    if type(value) is not int or value < least:
+        raise CertifyError(f"{key} ({meaning}) must be an integer >= "
+                           f"{least}, not {value!r}")
+    return value
+
+
 def parse_job(data: dict, mode: str | None = None, **overrides) -> JobSpec:
     spec = parse_input(data)
-    # keys absent from the input keep JobSpec's defaults
-    casts = {"prime": lambda p: p if p is None else int(p), "e_max": int,
-             "gb_budget": int, "assert_q_gorenstein": bool, "level": int,
-             "n_max": int, "name": None}
-    job = JobSpec(spec, mode or data.get("mode", "lc"),
-                  **{key: cast(data[key]) if cast else data[key]
-                     for key, cast in casts.items() if key in data})
+    job = JobSpec(spec, mode or data.get("mode", "lc"))
+    for key, value in [*((k, data.get(k)) for k in JOB_KEYS),
+                       *overrides.items()]:
+        if value is not None:
+            setattr(job, key, _job_value(key, value))
+    if "name" in data:
+        job.name = data["name"]
     if "test_element" in data:
         job.test_element = parse_polynomial(data["test_element"],
                                             list(data["variables"]),
@@ -442,9 +462,6 @@ def parse_job(data: dict, mode: str | None = None, **overrides) -> JobSpec:
     if "h" in data:
         job.h = parse_polynomial(data["h"], list(data["variables"]),
                                  spec.ring.domain)
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(job, key, value)
     return job
 
 

@@ -24,7 +24,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 from operator import add, mul
 
-from .groebner import Budget, Ideal, buchberger, colon_ideal
+from .groebner import Budget, Ideal, colon_ideal
 from .polycore import GREVLEX, DomainError, Polynomial, PolyError, ceil_frac
 from .frobenius import FrobeniusPower, bracket_power, decompose
 from .triples import DivisorData, RingPresentation, TripleSpec
@@ -163,31 +163,26 @@ class SFRResult:
 
 def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
                   budget: Budget | None):
-    """Generators of (I^[q] : I), or [1] for a regular ambient ring.
+    """Generators of (I^[q] : I) modulo I^[q], or [1] for a regular ambient
+    ring.
 
-    Fedder's closed forms (Fedder 1983) replace the colon computation where
-    they apply, and give the same generators as ``colon_ideal``:
-
-    * a hypersurface (f): the colon is (f^(q-1)), and ``colon_ideal``
-      returns f^(q-1) / lc(f), the quotient of the monic f^q by f;
-    * a complete intersection (f_1, ..., f_k), k >= 2: the colon is
-      I^[q] + ((f_1 ... f_k)^(q-1)), and ``colon_ideal`` returns its
-      reduced grevlex basis.
+    A complete intersection (f_1, ..., f_k), hypersurfaces included, has the
+    colon I^[q] + (F), F = (f_1 ... f_k)^(q-1) (Fedder 1983), and gets the
+    one closed form F / lc(f_1 ... f_k): equal to the general colon as an
+    ideal modulo I^[q], and for k = 1 byte-equal to ``colon_ideal``'s
+    quotient of the monic f^q by f.  The relations vanish at the origin, so
+    I^[q] lies in the monomial ideal m^[q], and d * (I^[q] + (F)) escapes
+    m^[q] iff d * F does; for an escape in the fiber variables only, this
+    needs a fiber variable in every term of each relation (else the point
+    is off the fiber).  Any other ideal takes the general route.
     """
     if ring.is_regular_ambient:
         return [ring.constant(1)]
     gens = ring.relations.gens
-    if len(gens) == 1:
-        f = gens[0]
+    if len(gens) == 1 or complete_intersection(ring, budget):
+        f = reduce(mul, gens)
         return [_power_q_minus_one(f, power)
                 * ring.domain.inv(f.leading_coefficient(GREVLEX))]
-    if complete_intersection(ring, budget):
-        # a reduced basis powers up to a reduced basis of I^[q]
-        seed = [g.frobenius_power(power.q)
-                for g in ring.relations.groebner_basis(GREVLEX, budget)]
-        return list(buchberger(
-            seed + [_power_q_minus_one(reduce(mul, gens), power)],
-            GREVLEX, budget))
     return list(colon_ideal(bracket_power(ring.relations, power),
                             ring.relations, budget).gens)
 

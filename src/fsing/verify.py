@@ -28,13 +28,21 @@ from fractions import Fraction
 from .groebner import Ideal
 from .polycore import Polynomial, ceil_frac, parse_polynomial, prime_field
 
+# The theorem each certifying mode cites, and the one conclusion it may
+# certify; a certificate citing any other tag is refused.
+THEOREMS = {
+    "lc": ("lc-from-sharp-f-purity-at-one-prime", "log_canonical"),
+    "klt": ("klt-from-strong-f-regularity-at-one-prime", "klt"),
+    "sfr": ("strong-f-regularity-glassbrenner-witness", "strongly_F_regular"),
+    "gsfr": ("geometric-sfr-from-perfected-base",
+             "geometrically_strongly_F_regular"),
+    "deform": ("sfr-deformation-consistency", "deformation_consistent"),
+}
+TAG_CONCLUSIONS = dict(THEOREMS.values())
 # The one theorem whose witness may escape m^[q] in the fiber variables only.
-GSFR_TAG = "geometric-sfr-from-perfected-base"
+GSFR_TAG = THEOREMS["gsfr"][0]
 # The one theorem whose witness needs no test-element factor.
-LC_TAG = "lc-from-sharp-f-purity-at-one-prime"
-# The one conclusion each of those weaker checks may certify.
-TAG_CONCLUSIONS = ((LC_TAG, "log_canonical"),
-                   (GSFR_TAG, "geometrically_strongly_F_regular"))
+LC_TAG = THEOREMS["lc"][0]
 
 
 def verify_witness_data(data: dict, test_element: bool = False) -> bool:
@@ -140,10 +148,11 @@ def verify_certificate_file(path: str) -> bool:
         print("verification block is not a JSON object")
         return False
     tag = cert.get("theorem_tag")
-    for weak_tag, conclusion in TAG_CONCLUSIONS:
-        if tag == weak_tag and cert.get("conclusion") != conclusion:
-            print(f"a {tag} certificate may only conclude {conclusion}")
-            return False
+    conclusion = TAG_CONCLUSIONS.get(tag) if isinstance(tag, str) else None
+    if conclusion is None or cert.get("conclusion") != conclusion:
+        print(f"theorem tag {tag!r} does not certify the conclusion "
+              f"{cert.get('conclusion')!r}")
+        return False
     if "escape_indices" in data and tag != GSFR_TAG:
         print("escape_indices are allowed only in a "
               f"{GSFR_TAG} certificate")

@@ -389,11 +389,11 @@ def emitted_certificates(tmp_path_factory, det_f3_certification):
         certs.append(cert)
     # the determinantal e = 3 certificate, from the shared session fixture
     R, c, result, _ = det_f3_certification
-    from fsing.certify import _emit, THEOREM_TAGS
+    from fsing.certify import _emit
 
     spec = TripleSpec(R)
-    cert = _emit("strongly_F_regular", THEOREM_TAGS["sfr"], 3, result.witness,
-                 spec, ["test element vanishes on the singular locus"],
+    cert = _emit("sfr", 3, result.witness, spec,
+                 ["test element vanishes on the singular locus"],
                  [{"prime": 3, "status": "certified"}])
     certs.append(cert)
     paths = []

@@ -381,6 +381,24 @@ class TestCertificateContract:
         path.write_text(json.dumps(cert))
         assert not verify_certificate_file(str(path))
 
+    @pytest.mark.parametrize("edits", [
+        {"conclusion": "klt"}, {"conclusion": "log_canonical"},
+        {"theorem_tag": "made-up-tag"}, {"theorem_tag": ["x"]},
+        {"theorem_tag": "made-up-tag", "conclusion": None}])
+    def test_sfr_certificate_tampered_rejected(self, tmp_path, edits):
+        # each tag certifies exactly its own conclusion, and no other tag
+        # is accepted
+        cert = certify_klt(parse_job({
+            "variables": ["x", "y", "z", "w"], "coefficient": "Fp", "p": 3,
+            "relations": ["x*y - z*w"], "test_element": "x", "e_max": 1},
+            "sfr")).to_dict()
+        path = tmp_path / "sfr.json"
+        path.write_text(json.dumps(cert))
+        assert verify_certificate_file(str(path))
+        cert.update(edits)
+        path.write_text(json.dumps(cert))
+        assert not verify_certificate_file(str(path))
+
     def test_test_element_required_with_positive_exponent(self):
         cert = certify_klt(parse_job({
             "variables": ["x", "y", "z"], "coefficient": "Q",
@@ -524,6 +542,37 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("prime", 1), ("prime", True), ("prime", 7.0),
+        ("e_max", 2.9), ("e_max", True), ("e_max", -1), ("e_max", "-1"),
+        ("gb_budget", 0), ("level", -1), ("n_max", -1),
+        ("assert_q_gorenstein", "false"), ("assert_q_gorenstein", 1),
+    ])
+    def test_malformed_job_value_exits_2(self, tmp_path, capsys, key, value):
+        data = {"variables": ["x", "y"], "coefficient": "Q",
+                "delta": [{"g": "x^2 + y^3", "c": "5/6"}], key: value}
+        with pytest.raises(CertifyError, match=key):
+            parse_job(data, "lc")
+        assert self.run_main(tmp_path, "lc", data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("option", [
+        ["--prime", "1"], ["--e-max", "0"], ["--gb-budget", "0"]])
+    def test_malformed_option_exits_2(self, tmp_path, capsys, option):
+        data = {"variables": ["x", "y"], "coefficient": "Q",
+                "delta": [{"g": "x^2 + y^3", "c": "5/6"}]}
+        assert self.run_main(tmp_path, "lc", data, *option) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_job_values_kept(self):
+        job = lc_job(prime="7", e_max=3, gb_budget="50", level=0, n_max=0,
+                     assert_q_gorenstein=False)
+        assert (job.prime, job.e_max, job.gb_budget, job.level, job.n_max,
+                job.assert_q_gorenstein) == (7, 3, 50, 0, 0, False)
+        assert lc_job(assert_q_gorenstein=True).assert_q_gorenstein is True
+        assert lc_job(e_max=None).e_max == 2
 
     def test_prime_cast_like_e_max(self):
         assert lc_job(prime="7", e_max="1").prime == 7
