@@ -36,12 +36,9 @@ from .triples import (
     quotient_ring,
 )
 from .frobenius import (
-    BaseExtension,
     FrobeniusPower,
-    base_extend,
     bracket_power,
     frobenius_root,
-    pushforward_basis,
 )
 from .fcriteria import (
     fpt_lower_bound,
@@ -66,7 +63,6 @@ from .testideals import (
 )
 from .arithmodels import (
     ArithmeticModel,
-    PerfectionLevel,
     geometric_sfr_check,
     reduce_mod_p,
     spread_out,

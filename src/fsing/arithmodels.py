@@ -1,9 +1,10 @@
-"""Spreading out Q-defined data over Z[1/n] and reducing modulo primes.
+"""Spreading out Q-defined data over Z[1/n], reducing modulo primes, and the
+one perfected-base model k^{1/p^n} of an F_p(t..) input.
 
 Denominators are cleared generator by generator; every prime dividing a
-cleared denominator is excluded, along with user-supplied exclusions.
-Flatness and normality of the model at a non-excluded prime are NOT
-verified; certificates record them as assumptions.
+cleared denominator is excluded.  Flatness and normality of the model at a
+non-excluded prime are NOT verified; certificates record them as
+assumptions.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .fcriteria import SFRResult, strongly_fregular
 from .groebner import Budget, Ideal
 from .polycore import Polynomial, _is_prime, prime_field
 from .triples import DivisorData, RingPresentation, TripleSpec
@@ -61,12 +63,12 @@ class ArithmeticModel:
         return p not in self.excluded_primes
 
 
-def spread_out(spec: TripleSpec, user_excluded=()) -> ArithmeticModel:
+def spread_out(spec: TripleSpec) -> ArithmeticModel:
     """Clear denominators of all generators; collect excluded primes."""
     ring = spec.ring
     if not ring.domain.is_rational:
         raise ReductionError("spread_out expects a Q-defined triple")
-    excluded = set(int(p) for p in user_excluded)
+    excluded = set()
     rel = []
     for g in ring.relations.gens:
         cleared, primes = clear_denominators(g)
@@ -142,31 +144,9 @@ def suggest_primes(model: ArithmeticModel):
 # Perfect-closure base change for geometric strong F-regularity.
 
 
-@dataclass(frozen=True)
-class PerfectionLevel:
-    """Base change to k^{1/p^n} for the function-field base k = F_p(t..)."""
-
-    n: int = 0
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ReductionError("perfection level must be >= 0")
-
-
-@dataclass(frozen=True)
-class GeometricSFRResult:
-    status: str  # "certified" | "inconclusive"
-    model: TripleSpec  # the k^{1/p^n} model that was checked
-    e: int
-    witness: object = None
-
-    @property
-    def certified(self) -> bool:
-        return self.status == "certified"
-
-
-def perfection_model(spec: TripleSpec, level: PerfectionLevel) -> TripleSpec:
-    """The k^{1/p^n} model: substitute t_j -> s_j^{p^n} in all data.
+def perfection_model(spec: TripleSpec, level: int) -> TripleSpec:
+    """The k^{1/p^n} model, n = ``level``: substitute t_j -> s_j^{p^n} in
+    all data.
 
     The base variables of the presentation are read as generators of the
     function field k = F_p(t_1..t_m); the returned triple presents the same
@@ -174,43 +154,50 @@ def perfection_model(spec: TripleSpec, level: PerfectionLevel) -> TripleSpec:
     """
     ring = spec.ring
     p = ring.domain.characteristic
+    if level < 0:
+        raise ReductionError("perfection level must be >= 0")
     if p == 0:
         raise ReductionError("perfection base change needs characteristic p")
     if not ring.base_vars:
         raise ReductionError("no designated base variables to perfect")
-    if level.n == 0:
+    if level == 0:
         return spec
-    factor = p ** level.n
-    base = set(ring.base_vars)
+    factor = p ** level
 
     def push(f: Polynomial) -> Polynomial:
-        return f.scale_exponents(base, factor)
+        return f.scale_exponents(ring.base_vars, factor)
 
     new_ring = RingPresentation(
         ring.var_names, ring.domain,
         Ideal(ring.domain, ring.nvars, [push(g) for g in ring.relations.gens]),
-        ring.base_vars, ring.base_level)
+        ring.base_vars)
     return TripleSpec(new_ring, spec.delta.map_components(push),
                       Ideal(ring.domain, ring.nvars,
                             [push(g) for g in spec.a.gens]),
                       spec.lam)
 
 
-def geometric_sfr_check(spec: TripleSpec, level: PerfectionLevel,
-                        c: Polynomial, e_max: int,
-                        budget: Budget | None = None) -> GeometricSFRResult:
-    """Strong F-regularity of the k^{1/p^n} model at the distinguished point.
+def geometric_sfr_check(spec: TripleSpec, level: int, c: Polynomial,
+                        e_max: int, budget: Budget | None = None
+                        ) -> tuple[TripleSpec, SFRResult]:
+    """Strong F-regularity of the k^{1/p^n} model at the distinguished point:
+    (the model that was checked, its result).
 
     A certificate at any level propagates to geometric strong F-regularity
     over the perfect closure.  The escape test ignores base-variable
-    exponents (they are units of the function field k).
+    exponents (they are units of the function field k).  A relation with a
+    term free of the fiber variables is refused: that term is a unit of k,
+    so the point lies off the fiber and no verdict would mean anything.
     """
-    from .fcriteria import strongly_fregular
-
+    ring = spec.ring
+    fiber = ring.fiber_vars
+    for g in ring.relations.gens:
+        if any(not any(m[i] for i in fiber) for m in g.terms):
+            raise ReductionError(
+                f"relation {ring.to_string(g)} has a term free of the fiber "
+                f"variables, so the point is off the fiber over F_p(t..)")
     model = perfection_model(spec, level)
-    factor = spec.ring.domain.characteristic ** level.n
-    c_model = c.scale_exponents(set(spec.ring.base_vars), factor) \
-        if level.n else c
-    result = strongly_fregular(model, c_model, e_max, budget,
-                               escape_indices=spec.ring.fiber_vars)
-    return GeometricSFRResult(result.status, model, result.e, result.witness)
+    c_model = c.scale_exponents(ring.base_vars,
+                                ring.domain.characteristic ** level)
+    return model, strongly_fregular(model, c_model, e_max, budget,
+                                    escape_indices=fiber)

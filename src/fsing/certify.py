@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import __version__
 from .arithmodels import (
-    PerfectionLevel,
     ReductionError,
     _reduce_poly,
     clear_denominators,
@@ -306,11 +305,11 @@ def certify_gsfr(job: JobSpec) -> Certificate:
         "test element vanishes on the non-regular locus (user-asserted)",
     ]
     p = job.spec.ring.domain.p
-    result = geometric_sfr_check(job.spec, PerfectionLevel(job.level),
-                                 job.test_element, job.e_max, job.budget())
+    model, result = geometric_sfr_check(job.spec, job.level, job.test_element,
+                                        job.e_max, job.budget())
     tried = [{"prime": p, "status": result.status, "level": job.level}]
     # _emit turns a missing witness into "inconclusive"
-    return _emit("gsfr", p, result.witness, result.model, assumptions, tried,
+    return _emit("gsfr", p, result.witness, model, assumptions, tried,
                  details={"level": job.level},
                  escape_indices=job.spec.ring.fiber_vars)
 
@@ -391,13 +390,20 @@ def _required(data: dict, key: str):
 
 def parse_input(data: dict) -> TripleSpec:
     """Build a TripleSpec from the JSON input schema."""
+    if not isinstance(data, dict):
+        raise CertifyError("input must be a JSON object")
+    unknown = sorted(set(data) - INPUT_KEYS)
+    if unknown:
+        raise CertifyError(f"unknown input keys {unknown}; known keys are "
+                           f"{sorted(INPUT_KEYS)}")
     names = list(_required(data, "variables"))
     base_names = list(data.get("base_variables", []))
     coeff = data.get("coefficient", "Q")
     if coeff == "Q":
         dom = RATIONALS
     elif coeff == "Fp":
-        dom = prime_field(int(_required(data, "p")))
+        dom = prime_field(_job_value("p", _required(data, "p"),
+                                     *JOB_KEYS["prime"]))
     else:
         raise CertifyError(f"unknown coefficient domain {coeff!r}")
     base_vars = tuple(names.index(b) for b in base_names)
@@ -427,12 +433,17 @@ JOB_KEYS = {
     "assert_q_gorenstein": (bool, None, "Q-Gorenstein assertion"),
 }
 
+# Every key an input may hold: the triple's, read by parse_input (an Fp
+# input's "p" is checked as "prime" is), and the job's, read by parse_job.
+INPUT_KEYS = frozenset({
+    "variables", "base_variables", "coefficient", "p", "relations", "delta",
+    "a", "lambda", "mode", "name", "test_element", "h", *JOB_KEYS})
 
-def _job_value(key: str, value):
+
+def _job_value(key: str, value, kind, least, meaning):
     """``value`` for ``key``: a JSON true or false for a flag; a JSON
-    integer or a decimal string, at least the key's least value, for a
-    number.  Anything else is refused, never cast."""
-    kind, least, meaning = JOB_KEYS[key]
+    integer or a decimal string, at least ``least``, for a number.
+    Anything else is refused, never cast."""
     if kind is bool:
         if type(value) is not bool:
             raise CertifyError(f"{key} ({meaning}) must be true or false, "
@@ -452,7 +463,7 @@ def parse_job(data: dict, mode: str | None = None, **overrides) -> JobSpec:
     for key, value in [*((k, data.get(k)) for k in JOB_KEYS),
                        *overrides.items()]:
         if value is not None:
-            setattr(job, key, _job_value(key, value))
+            setattr(job, key, _job_value(key, value, *JOB_KEYS[key]))
     if "name" in data:
         job.name = data["name"]
     if "test_element" in data:

@@ -1,7 +1,8 @@
 """Command-line interface.
 
     certify MODE --input FILE [--prime P] [--e-max N] [--gb-budget N]
-                 [--assert-q-gorenstein] [--test-element EXPR] [--json OUT]
+                 [--assert-q-gorenstein] [--test-element EXPR]
+                 [--level N] [--n-max N] [--json OUT]
 
 MODE is one of lc, klt, sfr, gsfr, deform, fpt, tau, corpus.  Input files
 use the JSON schema documented in the README; corpus mode executes a job

@@ -1,8 +1,8 @@
 """Characteristic-p Frobenius machinery.
 
 Bracket powers, Frobenius roots over polynomial rings (by decomposition over
-the monomial basis of the Frobenius pushforward), pushforward bases, and the
-substitution model of base rings A^{1/q^n} for polynomial bases A = F_p[t].
+the monomial basis of the Frobenius pushforward), and the embedding of ideals
+of B_i = R tensor_A A^{1/q^i} into B_{i+n} for polynomial bases A = F_p[t].
 
 p^{-e}-linear maps are represented throughout by a single multiplier
 element u: the map sends z^{1/q} to trace(u*z)^{1/q}, and the image of an
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 from .groebner import Ideal
 from .polycore import DomainError, Polynomial, _is_prime
-from .triples import PresentationError, RingPresentation
 
 
 @dataclass(frozen=True)
@@ -34,19 +33,6 @@ class FrobeniusPower:
     @property
     def q(self) -> int:
         return self.p ** self.e
-
-
-@dataclass(frozen=True)
-class BaseExtension:
-    """Base change data: the ring B_n = R tensor_A A^{1/q^n}."""
-
-    base_variables: tuple
-    level: int
-    power: FrobeniusPower
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise DomainError("extension level must be >= 0")
 
 
 def _check_char(obj, p: int):
@@ -93,47 +79,12 @@ def frobenius_root(I: Ideal, power: FrobeniusPower, root_indices=None) -> Ideal:
     return Ideal(I.domain, I.nvars, gens)
 
 
-def pushforward_basis(num_vars: int, power: FrobeniusPower):
-    """The q^num_vars monomials with exponents in [0, q-1], in lex order."""
-    from itertools import product
-
-    return list(product(range(power.q), repeat=num_vars))
-
-
-def base_extend(R: RingPresentation, ext: BaseExtension) -> RingPresentation:
-    """Present B_n = R tensor_A A^{1/q^n} by substituting t_j -> s_j^{q^n}.
-
-    The returned presentation reuses the base-variable slots for the new
-    root variables s_j; the embedding R -> B_n sends t_j to s_j^{q^n} and
-    fixes the fiber variables, which is exactly ``embed_to_level``.
-    """
-    if R.domain.characteristic != ext.power.p:
-        raise DomainError("base extension requires the ambient characteristic")
-    if tuple(ext.base_variables) != tuple(R.base_vars):
-        raise PresentationError("extension base variables differ from the ring's")
-    base = set(R.base_vars)
-    if ext.level == 0:
-        return R
-    qn = ext.power.q ** ext.level
-    scaled = [g.scale_exponents(base, qn) for g in R.relations.gens]
-    return RingPresentation(
-        R.var_names, R.domain,
-        Ideal(R.domain, R.nvars, scaled),
-        R.base_vars, R.base_level + ext.level)
-
-
-def embed_to_level(f: Polynomial, base_indices, power: FrobeniusPower,
-                   levels: int) -> Polynomial:
-    """Image of a level-i element in level i+levels coordinates."""
-    if levels < 0:
-        raise DomainError("cannot embed downward")
-    if levels == 0:
-        return f
-    return f.scale_exponents(base_indices, power.q ** levels)
-
-
 def embed_ideal_to_level(I: Ideal, base_indices, power: FrobeniusPower,
                          levels: int) -> Ideal:
+    """Image of a level-i ideal in level i+levels coordinates: B_i embeds in
+    B_{i+levels} by t_j -> t_j^{q^levels} on the base variables."""
+    if levels < 0:
+        raise DomainError("cannot embed downward")
+    qn = power.q ** levels
     return Ideal(I.domain, I.nvars,
-                 [embed_to_level(g, base_indices, power, levels)
-                  for g in I.gens])
+                 [g.scale_exponents(base_indices, qn) for g in I.gens])

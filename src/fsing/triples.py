@@ -27,7 +27,6 @@ class RingPresentation:
     domain: CoefficientDomain
     relations: Ideal
     base_vars: tuple = ()
-    base_level: int = 0
 
     def __post_init__(self):
         if self.relations.domain != self.domain or self.relations.nvars != self.nvars:

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from fsing.arithmodels import (
-    PerfectionLevel,
     ReductionError,
     geometric_sfr_check,
     perfection_model,
@@ -34,8 +33,8 @@ class TestSpreadOut:
         assert model.integral_relations[0] == R0.parse("2*x^2 + y^3")
 
     def test_integer_input_excludes_nothing(self):
-        model = spread_out(q_spec(["x^3 - y^2"]), user_excluded=[11])
-        assert model.excluded_primes == frozenset({11})
+        model = spread_out(q_spec(["x^3 - y^2"]))
+        assert model.excluded_primes == frozenset()
 
     def test_mixed_denominators(self):
         model = spread_out(q_spec(["1/3*x + 1/5*y"]))
@@ -108,20 +107,44 @@ class TestGeometricSFR:
     def test_regular_fiber_any_level(self):
         spec = fp_base_spec(5, [], ["t", "x", "y"], [0])
         for level in (0, 1, 2):
-            res = geometric_sfr_check(spec, PerfectionLevel(level),
-                                      spec.ring.constant(1), 1)
+            _, res = geometric_sfr_check(spec, level, spec.ring.constant(1), 1)
             assert res.certified
 
     def test_quadric_cone_over_function_field(self):
         spec = fp_base_spec(5, ["x^2 + y^2 + z^2"], ["t", "x", "y", "z"], [0])
-        res = geometric_sfr_check(spec, PerfectionLevel(0), spec.ring.parse("x"), 1)
-        assert res.certified and res.e == 1
+        model, res = geometric_sfr_check(spec, 0, spec.ring.parse("x"), 1)
+        assert model is spec and res.certified and res.e == 1
 
     def test_perfection_model_substitutes(self):
         spec = fp_base_spec(3, ["x^2 + t*y^2 + z^2"], ["t", "x", "y", "z"], [0])
-        model = perfection_model(spec, PerfectionLevel(1))
+        model = perfection_model(spec, 1)
         assert model.ring.relations.gens[0] == \
             model.ring.parse("x^2 + t^3*y^2 + z^2")
+
+    def test_perfection_model_level_zero_is_the_spec(self):
+        spec = fp_base_spec(3, ["x^2 - t^3"], ["t", "x"], [0])
+        assert perfection_model(spec, 0) is spec
+
+    def test_perfection_model_levels_compose(self):
+        dom = prime_field(3)
+        R0 = polynomial_ring(["t", "x", "y"], dom, base_vars=[0])
+        ring = quotient_ring(["t", "x", "y"], dom, [R0.parse("x^2 - t^3*y")],
+                             [0])
+        spec = TripleSpec(ring, divisor([(R0.parse("x + t*y"), "1/2")]),
+                          R0.ideal([R0.parse("t^2*x"), R0.parse("y")]))
+        twice = perfection_model(perfection_model(spec, 1), 1)
+        once = perfection_model(spec, 2)
+        assert twice.ring.relations.gens == once.ring.relations.gens
+        assert twice.ring.relations.gens[0] == R0.parse("x^2 - t^27*y")
+        assert twice.delta == once.delta == divisor(
+            [(R0.parse("x + t^9*y"), "1/2")])
+        assert twice.a.gens == once.a.gens
+        assert once.a.equals(R0.ideal([R0.parse("t^18*x"), R0.parse("y")]))
+
+    def test_perfection_model_negative_level_refused(self):
+        spec = fp_base_spec(3, ["x^2 - t^3"], ["t", "x"], [0])
+        with pytest.raises(ReductionError, match="perfection level"):
+            perfection_model(spec, -1)
 
     def test_certification_monotone_in_level(self):
         # certifications persist at every computed higher level
@@ -130,8 +153,8 @@ class TestGeometricSFR:
             fp_base_spec(3, ["x^2 + t*y^2 + z^2"], ["t", "x", "y", "z"], [0]),
         ]
         for spec in fixtures:
-            results = [geometric_sfr_check(spec, PerfectionLevel(n),
-                                           spec.ring.parse("x"), 1).certified
+            results = [geometric_sfr_check(spec, n, spec.ring.parse("x"),
+                                           1)[1].certified
                        for n in (0, 1, 2)]
             first = results.index(True) if True in results else None
             assert first is not None
@@ -142,4 +165,12 @@ class TestGeometricSFR:
             ["x", "y"], prime_field(5),
             [parse_polynomial("x^2 - y^3", ["x", "y"], prime_field(5))]))
         with pytest.raises(ReductionError):
-            geometric_sfr_check(spec, PerfectionLevel(1), spec.ring.parse("x"), 1)
+            geometric_sfr_check(spec, 1, spec.ring.parse("x"), 1)
+
+    @pytest.mark.parametrize("relation", ["x^2 - t", "x^2 + t*x - t^2"])
+    def test_relation_off_the_fiber_refused(self, relation):
+        # t is a unit of F_5(t), so the relation does not vanish at the
+        # point of the fiber and a certificate there would be vacuous
+        spec = fp_base_spec(5, [relation], ["t", "x"], [0])
+        with pytest.raises(ReductionError, match="off the fiber"):
+            geometric_sfr_check(spec, 0, spec.ring.parse("x"), 1)

@@ -536,7 +536,11 @@ class TestCLI:
         ({"variables": ["x", "y"], "coefficient": "Q",
           "relations": ["x + 1"]}, "vanish at the distinguished point"),
         ({"coefficient": "Q", "relations": ["x + 1"]}, "'variables'"),
-    ], ids=["parse-error", "presentation-error", "missing-variables"])
+        ({"variables": ["x", "y"], "coefficient": "Q", "mdoe": "klt",
+          "delta": [{"g": "x^2 + y^3", "c": "5/6"}]}, "['mdoe']"),
+        ([{"variables": ["x", "y"]}], "JSON object"),
+    ], ids=["parse-error", "presentation-error", "missing-variables",
+            "unknown-key", "not-an-object"])
     def test_bad_input_exits_2(self, tmp_path, capsys, data, message):
         assert self.run_main(tmp_path, "lc", data) == 2
         err = capsys.readouterr().err
@@ -587,6 +591,24 @@ class TestCLI:
         cert = json.loads(capsys.readouterr().out)["certificate"]
         assert cert["prime"] == 7 and cert["status"] == "certified"
 
+    @pytest.mark.parametrize("p, message", [
+        (2.9, "p ("), (True, "p ("), ("2.9", "p ("), (None, "p ("),
+        (4, "not prime")],
+        ids=["float", "bool", "fraction-string", "null", "not-prime"])
+    def test_malformed_fp_prime_exits_2(self, tmp_path, capsys, p, message):
+        # an Fp input's p follows the rule of "prime"
+        data = {"variables": ["x", "y"], "coefficient": "Fp", "p": p,
+                "relations": ["x^2 + y^3"], "test_element": "x"}
+        assert self.run_main(tmp_path, "klt", data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
+    def test_string_fp_prime_accepted(self):
+        data = {"variables": ["x", "y"], "coefficient": "Fp", "p": "7",
+                "relations": ["x^2 + y^3"]}
+        assert parse_job(data, "klt").spec.ring.domain.p == 7
+
     def test_non_integer_prime_exits_2(self, tmp_path, capsys):
         data = {"variables": ["x", "y"], "coefficient": "Q",
                 "delta": [{"g": "x^2 + y^3", "c": "5/6"}], "prime": "seven"}
@@ -609,14 +631,16 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n_max" in err
 
-    @pytest.mark.parametrize("base, args, message", [
-        (["t"], ["--level", "-1"], "perfection level"),
-        ([], ["--level", "0"], "no designated base variables"),
-    ], ids=["negative-level", "no-base-variables"])
-    def test_gsfr_reduction_error_exits_2(self, tmp_path, capsys, base, args,
-                                          message):
+    @pytest.mark.parametrize("base, relation, args, message", [
+        (["t"], "x^2 + y^2 + z^2", ["--level", "-1"], "perfection level"),
+        ([], "x^2 + y^2 + z^2", ["--level", "0"],
+         "no designated base variables"),
+        (["t"], "x^2 - t", ["--level", "1"], "off the fiber"),
+    ], ids=["negative-level", "no-base-variables", "off-the-fiber"])
+    def test_gsfr_reduction_error_exits_2(self, tmp_path, capsys, base,
+                                          relation, args, message):
         data = {"variables": ["t", "x", "y", "z"], "base_variables": base,
-                "coefficient": "Fp", "p": 5, "relations": ["x^2 + y^2 + z^2"],
+                "coefficient": "Fp", "p": 5, "relations": [relation],
                 "test_element": "x", "e_max": 1}
         assert self.run_main(tmp_path, "gsfr", data, *args) == 2
         err = capsys.readouterr().err

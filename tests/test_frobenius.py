@@ -1,21 +1,17 @@
-"""Bracket powers, Frobenius roots, pushforward bases, base extension."""
+"""Bracket powers, Frobenius roots, level embeddings."""
 
 import random
 
 import pytest
 
 from fsing.frobenius import (
-    BaseExtension,
     FrobeniusPower,
-    base_extend,
     bracket_power,
-    embed_to_level,
+    embed_ideal_to_level,
     frobenius_root,
-    pushforward_basis,
 )
 from fsing.groebner import Ideal, ideal_membership, ideal_product
 from fsing.polycore import DomainError, Polynomial, parse_polynomial, prime_field
-from fsing.triples import polynomial_ring
 
 
 def P(text, names, p):
@@ -158,52 +154,13 @@ class TestFrobeniusRoot:
                 assert ideal_membership(g, lifted)
 
 
-class TestPushforwardBasis:
-    def test_one_variable_q2(self):
-        assert pushforward_basis(1, FrobeniusPower(2, 1)) == [(0,), (1,)]
-
-    def test_two_variables_q2(self):
-        basis = pushforward_basis(2, FrobeniusPower(2, 1))
-        assert basis == [(0, 0), (0, 1), (1, 0), (1, 1)]
-
-    def test_count(self):
-        assert len(pushforward_basis(2, FrobeniusPower(3, 1))) == 9
-
-
-class TestBaseExtend:
-    def ring(self, p=3):
-        return polynomial_ring(["t", "x"], prime_field(p), base_vars=[0])
-
-    def quotient(self, p=3):
-        from fsing.triples import quotient_ring
-
-        dom = prime_field(p)
-        R0 = polynomial_ring(["t", "x"], dom, base_vars=[0])
-        return quotient_ring(["t", "x"], dom, [R0.parse("x^2 - t^3")],
-                             base_vars=[0])
-
-    def test_substitution(self):
-        R = self.quotient()
-        ext = BaseExtension((0,), 1, FrobeniusPower(3, 1))
-        B1 = base_extend(R, ext)
-        assert B1.base_level == 1
-        assert B1.relations.gens[0] == B1.parse("x^2 - t^9")
-
-    def test_level_zero_identity(self):
-        R = self.quotient()
-        assert base_extend(R, BaseExtension((0,), 0, FrobeniusPower(3, 1))) is R
-
-    def test_composite_levels(self):
-        R = self.quotient()
-        q = FrobeniusPower(3, 1)
-        twice = base_extend(base_extend(R, BaseExtension((0,), 1, q)),
-                            BaseExtension((0,), 1, q))
-        once = base_extend(R, BaseExtension((0,), 2, q))
-        assert twice.base_level == once.base_level == 2
-        assert twice.relations.equals(once.relations)
-
+class TestEmbedIdealToLevel:
     def test_embedding(self):
-        R = self.ring()
-        f = R.parse("t^2*x + t")
-        embedded = embed_to_level(f, (0,), FrobeniusPower(3, 1), 1)
-        assert embedded == R.parse("t^6*x + t^3")
+        I = ideal(3, ["t", "x"], "t^2*x + t")
+        embedded = embed_ideal_to_level(I, (0,), FrobeniusPower(3, 1), 1)
+        assert embedded.gens == (P("t^6*x + t^3", ["t", "x"], 3),)
+
+    def test_downward_refused(self):
+        I = ideal(3, ["t", "x"], "t^2*x + t")
+        with pytest.raises(DomainError):
+            embed_ideal_to_level(I, (0,), FrobeniusPower(3, 1), -1)
