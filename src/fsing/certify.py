@@ -11,6 +11,7 @@ certificate alone (see fsing.verify).
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -396,8 +397,11 @@ def parse_input(data: dict) -> TripleSpec:
     if unknown:
         raise CertifyError(f"unknown input keys {unknown}; known keys are "
                            f"{sorted(INPUT_KEYS)}")
-    names = list(_required(data, "variables"))
-    base_names = list(data.get("base_variables", []))
+    names = _strings_value("variables", _required(data, "variables"))
+    if len(set(names)) < len(names):
+        raise CertifyError(f"variables {names} name a variable twice")
+    base_names = _strings_value("base_variables",
+                                data.get("base_variables", []))
     coeff = data.get("coefficient", "Q")
     if coeff == "Q":
         dom = RATIONALS
@@ -406,20 +410,55 @@ def parse_input(data: dict) -> TripleSpec:
                                      *JOB_KEYS["prime"]))
     else:
         raise CertifyError(f"unknown coefficient domain {coeff!r}")
+    unknown = [b for b in base_names if b not in names]
+    if unknown:
+        raise CertifyError(f"base_variables {unknown} are not among the "
+                           f"variables {names}")
     base_vars = tuple(names.index(b) for b in base_names)
-    rel = [parse_polynomial(s, names, dom) for s in data.get("relations", [])]
+    rel = [parse_polynomial(s, names, dom)
+           for s in _strings_value("relations", data.get("relations", []))]
     if rel:
         ring = quotient_ring(names, dom, rel, base_vars)
     else:
         ring = polynomial_ring(names, dom, base_vars)
     comps = []
-    for item in data.get("delta", []):
-        comps.append((parse_polynomial(_required(item, "g"), names, dom),
-                      Fraction(_required(item, "c"))))
-    a_gens = [parse_polynomial(s, names, dom) for s in data.get("a", [])]
+    for i, item in enumerate(data.get("delta", [])):
+        g = _string_value(f"delta[{i}].g", _required(item, "g"))
+        comps.append((parse_polynomial(g, names, dom),
+                      _rational_value(f"delta[{i}].c", _required(item, "c"))))
+    a_gens = [parse_polynomial(s, names, dom)
+              for s in _strings_value("a", data.get("a", []))]
     a = Ideal(dom, len(names), a_gens) if a_gens else None
-    lam = Fraction(data.get("lambda", "1"))
+    lam = _rational_value("lambda", data.get("lambda", 1))
     return TripleSpec(ring, DivisorData(tuple(comps)), a, lam)
+
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _rational_value(key: str, value) -> Fraction:
+    """``value`` for ``key``: a JSON integer, or a string "a" or "a/b" with
+    b > 0.  A float, a flag or any other string is refused, never cast."""
+    if type(value) is int or (isinstance(value, str)
+                              and _RATIONAL.fullmatch(value)):
+        return Fraction(value)
+    raise CertifyError(f"{key} must be an integer or an \"a/b\" string, "
+                       f"not {value!r}")
+
+
+def _string_value(key: str, value) -> str:
+    """``value`` for ``key``: a JSON string (a name or a polynomial)."""
+    if not isinstance(value, str):
+        raise CertifyError(f"{key} must be a string, not {value!r}")
+    return value
+
+
+def _strings_value(key: str, value) -> list:
+    """``value`` for ``key``: a JSON list of strings, never a string read as
+    a list of its characters."""
+    if type(value) is not list:
+        raise CertifyError(f"{key} must be a list of strings, not {value!r}")
+    return [_string_value(f"{key}[{i}]", s) for i, s in enumerate(value)]
 
 
 # The job keys an input or a CLI option may set: kind, least value, meaning.
@@ -467,12 +506,10 @@ def parse_job(data: dict, mode: str | None = None, **overrides) -> JobSpec:
     if "name" in data:
         job.name = data["name"]
     if "test_element" in data:
-        job.test_element = parse_polynomial(data["test_element"],
-                                            list(data["variables"]),
-                                            spec.ring.domain)
+        job.test_element = spec.ring.parse(
+            _string_value("test_element", data["test_element"]))
     if "h" in data:
-        job.h = parse_polynomial(data["h"], list(data["variables"]),
-                                 spec.ring.domain)
+        job.h = spec.ring.parse(_string_value("h", data["h"]))
     return job
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 from operator import add, mul
@@ -55,15 +55,55 @@ class NonGradedError(Exception):
     pass
 
 
-def _escaping_monomial(f: Polynomial, q: int, indices=None):
-    """The least exponent tuple of a term of f outside m^[q], for m the ideal
-    of the given variables (all by default); None when f lies in m^[q].
+def _truncate(f: Polynomial, q: int, indices=None) -> Polynomial:
+    """f mod m^[q], for m the ideal of the given variables (all by default):
+    f without its terms that have an exponent >= q in one of them.
 
-    m^[q] is the monomial ideal (x_i^q); membership is a termwise check.
+    m^[q] = (x_i^q) is a monomial ideal and a product only raises exponents,
+    so (f * g) mod m^[q] = ((f mod m^[q]) * (g mod m^[q])) mod m^[q]: every
+    question "does this product escape m^[q]?" can be asked of truncated
+    operands.
     """
-    idx = range(f.nvars) if indices is None else indices
-    return min((m for m in f.terms if all(m[i] < q for i in idx)),
-               default=None)
+    if indices is None:
+        terms = {m: c for m, c in f.terms.items() if max(m, default=0) < q}
+    else:
+        terms = {m: c for m, c in f.terms.items()
+                 if all(m[i] < q for i in indices)}
+    return Polynomial(f.domain, f.nvars, terms, _clean=True)
+
+
+def _escaping_monomial(f: Polynomial, q: int, indices=None):
+    """The least exponent tuple of a term of f outside m^[q]; None when f
+    lies in m^[q]."""
+    return min(_truncate(f, q, indices).terms, default=None)
+
+
+def _power_mod(f: Polynomial, t: int, power: FrobeniusPower, indices=None,
+               small=None) -> Polynomial:
+    """f^t mod m^[q], q = p^e, as the product over the base-p digits t_i of t
+    of (f^(t_i))^[p^i], truncated after each product.
+
+    The coefficients lie in F_p, so g^(p^i) = g^[p^i]; and a term of f^(t_i)
+    with an exponent >= ceil(q / p^i) lands in m^[q] once its exponents are
+    scaled by p^i, so it is dropped first.  ``small`` caches f^k, reduced
+    mod m^[q] or not, for the digits k < p; a caller may share it between
+    calls on one f.
+    """
+    small = {} if small is None else small
+    p, q = power.p, power.q
+    out = None
+    step = 1
+    while t and (out is None or out):
+        t, k = divmod(t, p)
+        if k:
+            if k not in small:
+                small[k] = _truncate(f ** k, q, indices)
+            g = _truncate(small[k], -(-q // step), indices)
+            if step > 1:
+                g = g.frobenius_power(step)
+            out = g if out is None else _truncate(out * g, q, indices)
+        step *= p
+    return Polynomial.constant(f.domain, f.nvars, 1) if out is None else out
 
 
 # ---------------------------------------------------------------------------
@@ -79,32 +119,14 @@ def nu_value(f: Polynomial, e: int) -> int:
         raise ValueError("e must be >= 1")
     if f.constant_term() != 0:
         raise PolyError("nu_value requires f in the maximal ideal")
-    q = p ** e
-    # f in m => f^t in m^t subseteq m^[q] once t > nvars*(q-1)
-    hi = f.nvars * (q - 1) + 1
-    lo = 0  # f^0 = 1 escapes
-    powers = {0: Polynomial.constant(f.domain, f.nvars, 1)}
-
-    def power(t: int) -> Polynomial:
-        """f^t mod m^[q]: m^[q] is a monomial ideal, so the terms with an
-        exponent >= q can be dropped after every multiplication.  What is
-        left escapes m^[q] unless it is zero."""
-        if t not in powers:
-            best = max(k for k in powers if k <= t)
-            base = powers[best]
-            for _ in range(t - best):
-                best += 1
-                prod = base * f
-                base = Polynomial(f.domain, f.nvars,
-                                  {m: c for m, c in prod.terms.items()
-                                   if max(m) < q}, _clean=True)
-                powers[best] = base
-        return powers[t]
-
-    # binary search on the monotone predicate "f^t in m^[q]"
+    power = FrobeniusPower(p, e)
+    small: dict = {}
+    # binary search on the monotone predicate "f^t in m^[q]"; f^0 = 1
+    # escapes, and f^q = f^[q] lies in m^[q] since f lies in m
+    lo, hi = 0, power.q
     while hi - lo > 1:
         mid = (hi + lo) // 2
-        if not power(mid).is_zero():
+        if _power_mod(f, mid, power, small=small):
             lo = mid
         else:
             hi = mid
@@ -162,9 +184,9 @@ class SFRResult:
 
 
 def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
-                  budget: Budget | None):
-    """Generators of (I^[q] : I) modulo I^[q], or [1] for a regular ambient
-    ring.
+                  budget: Budget | None, indices=None):
+    """Generators h of (I^[q] : I) modulo I^[q], or [1] for a regular ambient
+    ring, as pairs (h mod m^[q], a call that builds h).
 
     A complete intersection (f_1, ..., f_k), hypersurfaces included, has the
     colon I^[q] + (F), F = (f_1 ... f_k)^(q-1) (Fedder 1983), and gets the
@@ -174,77 +196,84 @@ def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
     I^[q] lies in the monomial ideal m^[q], and d * (I^[q] + (F)) escapes
     m^[q] iff d * F does; for an escape in the fiber variables only, this
     needs a fiber variable in every term of each relation (else the point
-    is off the fiber).  Any other ideal takes the general route.
+    is off the fiber).  Only F mod m^[q] is formed up front; F itself, the
+    product of (f^(p-1))^[p^i] over i < e, is built from the same f^(p-1)
+    when a witness needs it.  Any other ideal takes the general route.
     """
     if ring.is_regular_ambient:
-        return [ring.constant(1)]
+        one = ring.constant(1)
+        return [(one, lambda: one)]
     gens = ring.relations.gens
     if len(gens) == 1 or complete_intersection(ring, budget):
         f = reduce(mul, gens)
-        return [_power_q_minus_one(f, power)
-                * ring.domain.inv(f.leading_coefficient(GREVLEX))]
-    return list(colon_ideal(bracket_power(ring.relations, power),
-                            ring.relations, budget).gens)
+        unit = ring.domain.inv(f.leading_coefficient(GREVLEX))
+        p = power.p
+        base = f ** (p - 1)
+        # every base-p digit of q - 1 is p - 1
+        short = _power_mod(f, power.q - 1, power, indices, {p - 1: base})
 
-
-def _power_q_minus_one(f: Polynomial, power: FrobeniusPower) -> Polynomial:
-    """f^(q-1) as the product of (f^(p-1))^[p^i] over i < e, since
-    q - 1 = (p - 1)(1 + p + ... + p^(e-1)): one small power, then
-    Frobenius powers, which only scale exponents."""
-    p = power.p
-    base = f ** (p - 1)
-    return reduce(mul, (base.frobenius_power(p ** i)
-                        for i in range(1, power.e)), base)
+        def full():
+            return reduce(mul, (base.frobenius_power(p ** i)
+                                for i in range(1, power.e)), base) * unit
+        return [(short * unit, full)]
+    return [(_truncate(h, power.q, indices), lambda h=h: h)
+            for h in colon_ideal(bracket_power(ring.relations, power),
+                                 ring.relations, budget).gens]
 
 
 def _multiplier_candidates(spec: TripleSpec, q: int):
-    """Witness multipliers d: the fixed divisor part times products of
-    a-generators of total weight ceil(lambda (q-1)).  Yields (d, factors)."""
-    ring = spec.ring
-    d_fixed = ring.constant(1)
-    factors = []
+    """Witness multipliers d, as the factors whose product is d: the fixed
+    divisor part, then products of a-generators of total weight
+    ceil(lambda (q-1))."""
+    fixed = []
     for g, c in spec.delta.components:
         k = ceil_frac(c * (q - 1))
         if k:
-            d_fixed = d_fixed * g ** k
-            factors.append(WitnessFactor(g, k, "divisor"))
+            fixed.append(WitnessFactor(g, k, "divisor"))
+    fixed = tuple(fixed)
     weight = ceil_frac(spec.lam * (q - 1))
     if weight == 0 or spec.a_is_trivial:
-        yield d_fixed, tuple(factors)
+        yield fixed
         return
     gens = spec.a.gens
     for combo in combinations_with_replacement(range(len(gens)), weight):
-        d = d_fixed
-        combo_factors = list(factors)
-        for i in sorted(set(combo)):
-            k = combo.count(i)
-            d = d * gens[i] ** k
-            combo_factors.append(WitnessFactor(gens[i], k, "ideal_a"))
-        yield d, tuple(combo_factors)
+        yield fixed + tuple(WitnessFactor(gens[i], combo.count(i), "ideal_a")
+                            for i in sorted(set(combo)))
+
+
+def _multiply_out(ring: RingPresentation, factors) -> Polynomial:
+    return reduce(mul, (w.poly ** w.exponent for w in factors),
+                  ring.constant(1))
 
 
 def _search_witness(spec: TripleSpec, e: int, budget: Budget | None,
                     extra: Polynomial | None = None, escape_indices=None):
     """One exponent of the colon criterion: a witness d * h, with h a
     generator of (I^[q] : I) and d a multiplier (times ``extra``, the test
-    element of an SFR check), escaping m^[q]; None if there is none."""
-    power = FrobeniusPower(spec.ring.domain.characteristic, e)
+    element of an SFR check), escaping m^[q]; None if there is none.
+
+    Each pair is decided modulo m^[q], on (d mod m^[q]) * (h mod m^[q]);
+    the full d, h and d * h are formed for the winning pair only."""
+    ring = spec.ring
+    power = FrobeniusPower(ring.domain.characteristic, e)
     q = power.q
-    colon_gens = _fedder_colon(spec.ring, power, budget)
-    for d, factors in _multiplier_candidates(spec, q):
-        if extra is not None:
-            d = d * extra
-        if d.is_zero():
-            continue
-        for h in colon_gens:
-            w = d * h
-            mono = _escaping_monomial(w, q, escape_indices)
+    colon_gens = _fedder_colon(ring, power, budget, escape_indices)
+    head = () if extra is None else (WitnessFactor(extra, 1, "test_element"),)
+
+    @cache
+    def factor_mod(w: WitnessFactor) -> Polynomial:
+        return _power_mod(w.poly, w.exponent, power, escape_indices)
+
+    for factors in _multiplier_candidates(spec, q):
+        factors = head + factors
+        d = reduce(lambda a, b: _truncate(a * b, q, escape_indices),
+                   map(factor_mod, factors), ring.constant(1))
+        for h, build in colon_gens:
+            mono = _escaping_monomial(d * h, q, escape_indices)
             if mono is not None:
-                full_factors = factors
-                if extra is not None:
-                    full_factors = ((WitnessFactor(extra, 1, "test_element"),)
-                                    + factors)
-                return FPurityWitness(e, q, full_factors, d, h, w, mono)
+                multiplier, h = _multiply_out(ring, factors), build()
+                return FPurityWitness(e, q, factors, multiplier, h,
+                                      multiplier * h, mono)
     return None
 
 
@@ -516,8 +545,9 @@ def splitting_oracle(spec: TripleSpec, e: int,
         degree_bound = q * top_deg * ring.nvars
 
     best = "fails"
-    for d, _factors in _multiplier_candidates(spec, q):
-        status, witness = _oracle_single(ring, d, q, weights, degree_bound)
+    for factors in _multiplier_candidates(spec, q):
+        status, witness = _oracle_single(ring, _multiply_out(ring, factors),
+                                         q, weights, degree_bound)
         if status == "holds":
             return SplittingOracleResult("holds", e, weights, witness)
         if status == "bound_too_small":

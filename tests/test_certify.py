@@ -1,9 +1,11 @@
 """Certification engine: LC/klt certificates, deformation, corpus runner."""
 
 import json
+import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from fsing.certify import (
     certify_gsfr,
     certify_klt,
     certify_log_canonical,
+    parse_input,
     parse_job,
     run_corpus,
     run_job,
@@ -561,6 +564,56 @@ class TestCLI:
         assert self.run_main(tmp_path, "lc", data) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("change, key", [
+        ({"delta": [{"g": "x^2 + y^3", "c": 0.1}]}, "delta[0].c"),
+        ({"delta": [{"g": "x^2 + y^3", "c": True}]}, "delta[0].c"),
+        ({"delta": [{"g": "x", "c": 1},
+                    {"g": "x^2 + y^3", "c": "0.5"}]}, "delta[1].c"),
+        ({"delta": [{"g": "x^2 + y^3", "c": "5/0"}]}, "delta[0].c"),
+        ({"lambda": 0.3}, "lambda"),
+        ({"lambda": "1e0"}, "lambda"),
+        ({"variables": "xy"}, "variables"),
+        ({"variables": ["x", 1]}, "variables[1]"),
+        ({"variables": ["x", "x"]}, "variables"),
+        ({"base_variables": "x"}, "base_variables"),
+        ({"base_variables": ["u"]}, "base_variables"),
+        ({"relations": "x*y"}, "relations"),
+        ({"relations": ["x*y", 3]}, "relations[1]"),
+        ({"a": "xy"}, "a"),
+        ({"delta": [{"g": 7, "c": 1}]}, "delta[0].g"),
+        ({"test_element": 5}, "test_element"),
+        ({"h": ["t"]}, "h"),
+    ], ids=["c-float", "c-flag", "c-decimal-string", "c-zero-denominator",
+            "lambda-float", "lambda-exponent-string", "variables-string",
+            "variables-non-string", "variables-repeated",
+            "base-variables-string", "base-variables-unknown",
+            "relations-string", "relations-non-string", "a-string",
+            "g-non-string", "test-element-non-string", "h-non-string"])
+    def test_malformed_triple_value_exits_2(self, tmp_path, capsys, change,
+                                            key):
+        # rationals are JSON integers or "a/b" strings, names and
+        # polynomials are strings (in lists where several are asked for),
+        # never cast: 0.1 is no binary fraction, true is no 1 and "xy"
+        # names no variables x and y
+        data = dict({"variables": ["x", "y"], "coefficient": "Q",
+                     "delta": [{"g": "x^2 + y^3", "c": "5/6"}]}, **change)
+        with pytest.raises(CertifyError, match=re.escape(key)):
+            parse_job(data, "lc")
+        assert self.run_main(tmp_path, "lc", data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and "Traceback" not in err
+
+    def test_triple_values_kept(self):
+        data = {"variables": ["x", "y", "t"], "base_variables": ["t"],
+                "coefficient": "Q", "lambda": "1/2",
+                "delta": [{"g": "x", "c": 1}, {"g": "y", "c": "-0"},
+                          {"g": "x^2 + y^3", "c": "10/12"}]}
+        spec = parse_input(data)
+        assert spec.lam == Fraction(1, 2)
+        assert [c for _, c in spec.delta.components] == [1, Fraction(5, 6)]
+        assert spec.ring.base_vars == (2,)
+        assert parse_input(dict(data, **{"lambda": 2})).lam == 2
 
     @pytest.mark.parametrize("option", [
         ["--prime", "1"], ["--e-max", "0"], ["--gb-budget", "0"]])

@@ -1,17 +1,23 @@
 """Splitting criteria: nu values, purity, regularity, the graded oracle."""
 
+import json
+import random
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fsing import fcriteria, groebner
 from fsing.fcriteria import (
+    FPurityWitness,
     NonGradedError,
+    WitnessFactor,
     _fedder_colon,
+    _truncate,
     complete_intersection,
     find_positive_grading,
     fpt_lower_bound,
@@ -32,6 +38,9 @@ from fsing.triples import (
     polynomial_ring,
     quotient_ring,
 )
+
+CORPUS = Path(__file__).resolve().parent.parent / "src" / "fsing" / "data" \
+    / "corpus.json"
 
 
 def ring(names, p, relations=()):
@@ -296,9 +305,17 @@ def _general_colon(names, p, relations, e):
     return colon_ideal(bracket_power(R.relations, power), R.relations).gens
 
 
+def _built(pairs, q):
+    """The generators of ``_fedder_colon``'s pairs, each checked against its
+    truncation mod m^[q]."""
+    gens = [build() for _, build in pairs]
+    assert [short for short, _ in pairs] == [_truncate(h, q) for h in gens]
+    return gens
+
+
 def _closed_colon(names, p, relations, e):
     R = quotient_ring(names, prime_field(p), relations)
-    return _fedder_colon(R, FrobeniusPower(p, e), Budget())
+    return _built(_fedder_colon(R, FrobeniusPower(p, e), Budget()), p ** e)
 
 
 def _escapes(c, colon_gens, q):
@@ -414,7 +431,7 @@ class TestFedderClosedForms:
         for module in (groebner, fcriteria):   # wherever it is bound
             monkeypatch.setattr(module, "buchberger", buchberger_spy,
                                 raising=False)
-        got = _fedder_colon(R, FrobeniusPower(p, 1), Budget())
+        got = _built(_fedder_colon(R, FrobeniusPower(p, 1), Budget()), p)
         assert len(colons) == (1 if general else 0)
         assert general or not bases
         want = _general_colon(names, p, [R.parse(r) for r in rels], 1)
@@ -432,7 +449,8 @@ class TestFedderClosedForms:
         names = ["x", "y", "z", "w", "v"]
         rels = ["x*y - z*w", "x^2 + y^2 + z^2 + w^2 + v^2"]
         budget = Budget()
-        got = _fedder_colon(ring(names, 5, rels), FrobeniusPower(5, 2), budget)
+        got = _built(_fedder_colon(ring(names, 5, rels), FrobeniusPower(5, 2),
+                                   budget), 25)
         R = ring(names, 5, rels)
         basis = Budget()
         R.relations.groebner_basis(budget=basis)
@@ -478,3 +496,169 @@ class TestClosedFormOracleAgreement:
         orc = splitting_oracle(spec, 1)
         assert orc.status in ("holds", "fails")
         assert sharply_fpure(spec, 1).holds == orc.holds
+
+
+# ---------------------------------------------------------------------------
+# The truncated routes (decisions modulo m^[q]) against full products.
+
+
+def _random_poly(rng, dom, nvars, degrees, nterms, fiber=None):
+    """A polynomial with terms of the given total degrees, so vanishing at
+    the origin; with ``fiber``, each term also holds a fiber variable."""
+    terms = {}
+    for _ in range(nterms):
+        m = [0] * nvars
+        for _ in range(rng.choice(degrees)):
+            m[rng.randrange(nvars)] += 1
+        if fiber is not None and not any(m[i] for i in fiber):
+            m[rng.choice(fiber)] += 1
+        terms[tuple(m)] = rng.randrange(1, dom.p)
+    return Polynomial(dom, nvars, terms)
+
+
+def _escaping(w, q, indices):
+    return [m for m in w.terms if all(m[i] < q for i in indices)]
+
+
+def _full_witness(spec, e, extra=None, indices=None):
+    """The colon criterion on full products: F = f^(q-1) by repeated
+    squaring, every multiplier d and every d * h multiplied out, and the
+    escape read off all their terms."""
+    R = spec.ring
+    p = R.domain.p
+    q = p ** e
+    indices = range(R.nvars) if indices is None else indices
+    rels = R.relations.gens
+    if R.is_regular_ambient:
+        colon = [R.constant(1)]
+    elif len(rels) == 1 or complete_intersection(R):
+        f = reduce(mul, rels)
+        colon = [f ** (q - 1) * R.domain.inv(f.leading_coefficient())]
+    else:
+        colon = colon_ideal(bracket_power(R.relations, FrobeniusPower(p, e)),
+                            R.relations).gens
+    head = () if extra is None else (WitnessFactor(extra, 1, "test_element"),)
+    for factors in fcriteria._multiplier_candidates(spec, q):
+        factors = head + factors
+        d = reduce(mul, (w.poly ** w.exponent for w in factors), R.constant(1))
+        for h in colon:
+            w = d * h
+            if _escaping(w, q, indices):
+                return FPurityWitness(e, q, factors, d, h, w,
+                                      min(_escaping(w, q, indices)))
+    return None
+
+
+def _random_spec(rng, kind):
+    """(spec, e, extra, escape_indices) for one seeded case of ``kind``."""
+    if kind == "hypersurface":
+        p = rng.choice([2, 3, 5, 7])
+        e = 1 if p == 7 else rng.choice([1, 2])
+        nvars = 2 if p ** e > 9 else rng.choice([2, 3])
+        dom = prime_field(p)
+        rels = [_random_poly(rng, dom, nvars, (2, 3), rng.randint(2, 4))]
+    elif kind == "two-relation":
+        p = rng.choice([2, 3, 5])
+        e = rng.choice([1, 2]) if p <= 3 else 1
+        nvars = rng.choice([3, 4])
+        dom = prime_field(p)
+        rels = [_random_poly(rng, dom, nvars, (2,), rng.randint(2, 3))
+                for _ in range(2)]
+    elif kind == "general":
+        p, e = rng.choice([(2, 1), (2, 2), (3, 1)])
+        nvars = 4
+        dom = prime_field(p)
+        # the twisted cubic: not a complete intersection
+        rels = [Polynomial(dom, 4, {(1, 0, 1, 0): 1, (0, 2, 0, 0): -1}),
+                Polynomial(dom, 4, {(1, 0, 0, 1): 1, (0, 1, 1, 0): -1}),
+                Polynomial(dom, 4, {(0, 1, 0, 1): 1, (0, 0, 2, 0): -1})]
+    else:  # "gsfr": base variable t = the last one, escapes in x, y, z only
+        p = rng.choice([2, 3, 5])
+        e = rng.choice([1, 2]) if p <= 3 else 1
+        nvars = 4
+        dom = prime_field(p)
+        rels = [_random_poly(rng, dom, nvars, (2, 3), rng.randint(2, 4),
+                             fiber=(0, 1, 2))]
+    names = default_variable_names(nvars)
+    base = (3,) if kind == "gsfr" else ()
+    R = quotient_ring(names, dom, rels, base)
+    indices = R.fiber_vars if kind == "gsfr" else None
+    components = []
+    if rng.random() < 0.5:
+        g = _random_poly(rng, dom, nvars, (1, 2), rng.randint(1, 2))
+        components.append((g, rng.choice([Fraction(1, 3), Fraction(1, 2),
+                                          Fraction(5, 6), Fraction(1)])))
+    a, lam = None, Fraction(1)
+    if kind == "hypersurface" and rng.random() < 0.3:
+        a = R.ideal([R.variable(0), R.variable(1)])
+        lam = rng.choice([Fraction(1, 3), Fraction(1, 2)])
+    extra = R.variable(rng.randrange(nvars - len(base))) \
+        if kind == "gsfr" or rng.random() < 0.5 else None
+    return TripleSpec(R, divisor(components), a, lam), e, extra, indices
+
+
+class TestTruncatedRoutes:
+    """Every escape is decided modulo m^[q]; the verdicts, the witnesses and
+    nu must be those of the full products."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_nu_matches_full_powers(self, seed):
+        rng = random.Random(f"nu-{seed}")
+        p = (2, 3, 5, 7)[seed % 4]
+        e = 1 + seed // 4 % 2
+        nvars = rng.choice([2, 3])
+        f = _random_poly(rng, prime_field(p), nvars, (1, 2, 3),
+                         rng.randint(1, 3))
+        q = p ** e
+        # scan up the full powers f^t, each checked termwise
+        t, power = 0, Polynomial.constant(f.domain, nvars, 1)
+        while _escaping(power, q, range(nvars)):
+            power, t = power * f, t + 1
+        assert nu_value(f, e) == t - 1
+
+    @pytest.mark.parametrize("kind", ["hypersurface", "two-relation",
+                                      "general", "gsfr"])
+    def test_witness_search_matches_full_products(self, kind):
+        found = 0
+        for seed in range(24):
+            spec, e, extra, indices = _random_spec(
+                random.Random(f"{kind}-{seed}"), kind)
+            want = _full_witness(spec, e, extra, indices)
+            got = fcriteria._search_witness(spec, e, Budget(), extra, indices)
+            assert got == want
+            found += want is not None
+        # the cases reach both outcomes
+        assert 0 < found < 24
+
+    @pytest.mark.parametrize("names, p, f, e_max", [
+        *[(job["input"]["variables"], job["input"]["p"],
+           job["input"]["delta"][0]["g"], job["input"]["e_max"])
+          for job in json.loads(CORPUS.read_text(encoding="utf-8"))["jobs"]
+          if job["mode"] == "fpt"],
+        # the fpt input of the benchmark batch
+        (["x", "y", "z"], 11, "x^3 + y^3 + z^3", 2),
+    ])
+    def test_nu_frobenius_bounds(self, names, p, f, e_max):
+        # (f^t)^[p] = f^(pt): f^nu(e) escapes m^[q] and f^(nu(e) + 1) does
+        # not, so p nu(e) <= nu(e + 1) <= p nu(e) + p - 1
+        f = ring(names, p).parse(f)
+        nu = [nu_value(f, e) for e in range(1, e_max + 2)]
+        for low, high in zip(nu, nu[1:]):
+            assert p * low <= high <= p * low + p - 1
+
+    def test_level_that_does_not_split_builds_no_full_power(self, monkeypatch):
+        # x^3 + y^3 + z^3 over F_11 (supersingular): at e = 2 the level is
+        # decided on (f^10 mod m^[11])^[11] = 0, while the full
+        # F = f^120 = (f^10)^[11] * f^10 has 4,356 terms
+        sizes = []
+        product = Polynomial.__mul__
+
+        def spy(self, other):
+            result = product(self, other)
+            sizes.append(len(result.terms))
+            return result
+
+        R = ring("xyz", 11, ["x^3 + y^3 + z^3"])
+        monkeypatch.setattr(Polynomial, "__mul__", spy)
+        assert sharply_fpure(TripleSpec(R), 2).status == "fails"
+        assert sizes and max(sizes) <= 66  # the terms of f^10

@@ -61,7 +61,8 @@ def fedder_colon_record() -> dict:
                          [parse_polynomial(s, DET_F3_NAMES, prime_field(3))
                           for s in DET_F3_RELATIONS])
     budget = Budget()
-    gens = _fedder_colon(ring, FrobeniusPower(3, 1), budget)
+    gens = [build() for _, build in
+            _fedder_colon(ring, FrobeniusPower(3, 1), budget)]
     return {"gens": [g.to_string(DET_F3_NAMES) for g in gens],
             "used": budget.used, **_work(gens, DET_F3_NAMES)}
 
