@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
+from heapq import heapify, heappop, heappush
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 from operator import add, mul
@@ -186,7 +187,7 @@ class SFRResult:
 def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
                   budget: Budget | None, indices=None):
     """Generators h of (I^[q] : I) modulo I^[q], or [1] for a regular ambient
-    ring, as pairs (h mod m^[q], a call that builds h).
+    ring, as pairs of calls (one that gives h mod m^[q], one that gives h).
 
     A complete intersection (f_1, ..., f_k), hypersurfaces included, has the
     colon I^[q] + (F), F = (f_1 ... f_k)^(q-1) (Fedder 1983), and gets the
@@ -198,11 +199,12 @@ def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
     needs a fiber variable in every term of each relation (else the point
     is off the fiber).  Only F mod m^[q] is formed up front; F itself, the
     product of (f^(p-1))^[p^i] over i < e, is built from the same f^(p-1)
-    when a witness needs it.  Any other ideal takes the general route.
+    when a witness needs it.  Any other ideal takes the general route, whose
+    generators are truncated only when the search first reaches them.
     """
     if ring.is_regular_ambient:
         one = ring.constant(1)
-        return [(one, lambda: one)]
+        return [(lambda: one, lambda: one)]
     gens = ring.relations.gens
     if len(gens) == 1 or complete_intersection(ring, budget):
         f = reduce(mul, gens)
@@ -210,13 +212,14 @@ def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
         p = power.p
         base = f ** (p - 1)
         # every base-p digit of q - 1 is p - 1
-        short = _power_mod(f, power.q - 1, power, indices, {p - 1: base})
+        short = unit * _power_mod(f, power.q - 1, power, indices,
+                                  {p - 1: base})
 
         def full():
             return reduce(mul, (base.frobenius_power(p ** i)
                                 for i in range(1, power.e)), base) * unit
-        return [(short * unit, full)]
-    return [(_truncate(h, power.q, indices), lambda h=h: h)
+        return [(lambda: short, full)]
+    return [(cache(lambda h=h: _truncate(h, power.q, indices)), lambda h=h: h)
             for h in colon_ideal(bracket_power(ring.relations, power),
                                  ring.relations, budget).gens]
 
@@ -268,8 +271,8 @@ def _search_witness(spec: TripleSpec, e: int, budget: Budget | None,
         factors = head + factors
         d = reduce(lambda a, b: _truncate(a * b, q, escape_indices),
                    map(factor_mod, factors), ring.constant(1))
-        for h, build in colon_gens:
-            mono = _escaping_monomial(d * h, q, escape_indices)
+        for short, build in colon_gens:
+            mono = _escaping_monomial(d * short(), q, escape_indices)
             if mono is not None:
                 multiplier, h = _multiply_out(ring, factors), build()
                 return FPurityWitness(e, q, factors, multiplier, h,
@@ -535,6 +538,8 @@ def splitting_oracle(spec: TripleSpec, e: int,
     p = ring.domain.characteristic
     if p == 0:
         raise DomainError("the splitting oracle lives in positive characteristic")
+    if e < 1:
+        raise ValueError("e must be >= 1")
     q = p ** e
     graded_input = list(ring.relations.gens) + [g for g, _ in spec.delta.components]
     if not spec.a_is_trivial:
@@ -621,46 +626,45 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
                                                 _clean=True)).terms
         return terms
 
-    def add_rows(parts, rhs_poly):
-        """parts: list of (coeff poly w, residue b); equation
-        nf(sum w * v_b) = nf(rhs_poly), expanded per unknown column."""
+    def rows(parts, rhs):
+        """parts: {residue b: {monomial a: coefficient c}} for sum c x^a v_b;
+        the equations nf(sum c x^a v_b) = rhs (a normal form, as a term
+        dict), one per monomial, over the unknown columns."""
         p = dom.p
         acc: dict = {}
-        for w_poly, b in parts:
-            cols = block_index.get(b)
-            if not cols:
-                continue
-            for mono, col in cols.items():
-                for a, c in w_poly.terms.items():
+        for b, w_terms in parts.items():
+            for mono, col in block_index[b].items():
+                for a, c in w_terms.items():
                     for mm, cc in nf_monomial(tuple(map(add, a, mono))).items():
                         row = acc.setdefault(mm, {})
                         row[col] = (row.get(col, 0) + c * cc) % p
-        rhs = nf(rhs_poly)
-        keys = set(acc) | set(rhs.terms)
-        out = []
-        for key in keys:
-            row = acc.get(key, {})
-            row = {c: v for c, v in row.items() if v % dom.p != 0}
-            const = rhs.terms.get(key, 0)
-            out.append((row, const))
-        return out
+        for key in set(acc) | set(rhs):
+            yield ({c: v for c, v in acc.get(key, {}).items() if v},
+                   rhs.get(key, 0))
 
-    equations = []
-    # descent conditions: psi(x^b h_j) in I
-    for h in ring.relations.gens:
-        for b in product(range(q), repeat=nvars):
-            shifted = Polynomial.monomial(dom, nvars, b) * h
-            parts = [(w_poly, r) for r, w_poly in decompose(shifted, q).items()
-                     if r in block_index]
-            if not parts:
-                continue
-            equations.extend(add_rows(parts, Polynomial.zero(dom, nvars)))
-    # splitting condition: psi(d) = 1
-    d_parts = [(w_poly, r) for r, w_poly in decompose(d, q).items()
-               if r in block_index]
-    equations.extend(add_rows(d_parts, Polynomial.constant(dom, nvars, 1)))
+    def equations():
+        """The system, row by row, so that it is never held whole."""
+        # descent conditions: psi(x^b h_j) in I.  A term c x^a of h_j gives
+        # x^(a+b) = (x^((a+b) div q))^q x^((a+b) mod q), so the pieces of
+        # x^b h_j over the pushforward basis come from exponent arithmetic,
+        # in the order of h_j's terms; the right-hand side is zero
+        for h in ring.relations.gens:
+            terms = h.terms.items()
+            for b in product(range(q), repeat=nvars):
+                parts: dict = {}
+                for a, c in terms:
+                    s = tuple(map(add, a, b))
+                    res = tuple(x % q for x in s)
+                    if res in block_index:
+                        parts.setdefault(res, {})[tuple(x // q for x in s)] = c
+                if parts:
+                    yield from rows(parts, {})
+        # splitting condition: psi(d) = 1
+        yield from rows({r: w.terms for r, w in decompose(d, q).items()
+                         if r in block_index},
+                        nf(Polynomial.constant(dom, nvars, 1)).terms)
 
-    solution = _solve_fp(equations, len(unknowns), dom.p)
+    solution = _solve_fp(equations(), len(unknowns), dom.p)
     if solution is None:
         return ("bound_too_small" if truncated else "fails"), None
     witness: dict = {}
@@ -674,24 +678,36 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
 
 
 def _solve_fp(equations, ncols: int, p: int):
-    """Solve a sparse affine system over F_p; returns one solution or None."""
-    pivots = {}  # column -> (row dict over other columns, const)
-    order = []   # pivot insertion order, for back-substitution
+    """Solve a sparse affine system over F_p, given as an iterable of
+    (row {column: value}, const); returns one solution or None.
+
+    Rows are taken in order.  Each is reduced by the pivots it meets, in the
+    order the pivots were made, and the least column left becomes the next
+    pivot.  A pivot row has no entry in an older pivot's column, so fill-in
+    adds only younger pivot columns and each pivot is used at most once per
+    row.  The free columns of the solution are 0.
+    """
+    rank = {}     # pivot column -> its index in pivots
+    pivots = []   # (column, row over the other columns, const), oldest first
     for row, const in equations:
         row = {c: v % p for c, v in row.items() if v % p}
         const %= p
-        while True:
-            hit = next((c for c in row if c in pivots), None)
-            if hit is None:
-                break
-            prow, pconst = pivots[hit]
-            f = row.pop(hit)
+        heap = [rank[c] for c in row if c in rank]
+        heapify(heap)
+        while heap:
+            col, prow, pconst = pivots[heappop(heap)]
+            f = row.pop(col, 0)
+            if not f:   # cancelled by an older pivot's fill-in
+                continue
             for c2, v2 in prow.items():
-                nv = (row.get(c2, 0) - f * v2) % p
-                if nv:
-                    row[c2] = nv
+                old = row.get(c2, 0)
+                nv = (old - f * v2) % p
+                if not nv:
+                    del row[c2]
                 else:
-                    row.pop(c2, None)
+                    row[c2] = nv
+                    if not old and c2 in rank:
+                        heappush(heap, rank[c2])
             const = (const - f * pconst) % p
         if not row:
             if const:
@@ -699,14 +715,11 @@ def _solve_fp(equations, ncols: int, p: int):
             continue
         col = min(row)
         inv = pow(row[col], -1, p)
-        prow = {c: (v * inv) % p for c, v in row.items() if c != col}
-        pivots[col] = (prow, (const * inv) % p)
-        order.append(col)
+        rank[col] = len(pivots)
+        pivots.append((col, {c: v * inv % p for c, v in row.items()
+                             if c != col}, const * inv % p))
     solution = [0] * ncols
-    for col in reversed(order):
-        prow, pconst = pivots[col]
-        val = pconst
-        for c2, v2 in prow.items():
-            val = (val - v2 * solution[c2]) % p
-        solution[col] = val % p
+    for col, prow, pconst in reversed(pivots):
+        solution[col] = (pconst - sum(v * solution[c]
+                                      for c, v in prow.items())) % p
     return solution

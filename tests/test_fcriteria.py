@@ -27,7 +27,7 @@ from fsing.fcriteria import (
     strongly_fregular,
     suggest_test_elements,
 )
-from fsing.frobenius import FrobeniusPower, bracket_power
+from fsing.frobenius import FrobeniusPower, bracket_power, decompose
 from fsing.groebner import Budget, Ideal, buchberger, colon_ideal
 from fsing.polycore import (Polynomial, PolyError, default_variable_names,
                             prime_field)
@@ -254,15 +254,116 @@ class TestSplittingOracle:
         spec = TripleSpec(ring(["x", "y"], 3, [CUSP]))
         assert splitting_oracle(spec, 1).status == "fails"
 
-    def test_witness_map_solves_equation(self):
+    @pytest.mark.parametrize("names,p,rels", [
+        (["x", "y", "z"], 7, ["x^3 + y^3 + z^3"]),
+        (["x", "y", "z", "w", "v"], 3,
+         ["x*y - z*w", "x^2 + y^2 + z^2 + w^2 + v^2"]),
+    ])
+    def test_witness_map_solves_equation(self, names, p, rels):
+        """psi, rebuilt from the witness map alone, splits R at e = 1:
+        psi(d) = psi(1) = 1 mod I, and psi(x^b h_j) lies in I for every b
+        in [0, q)^n and every relation h_j."""
+        R = ring(names, p, rels)
+        result = splitting_oracle(TripleSpec(R), 1)
+        assert result.holds
+        I, v = R.relations, result.witness_map
+
+        def psi(f):
+            # psi(sum_r g_r^q x^r) = sum_r g_r psi(x^r); c^(1/q) = c in F_p
+            return sum((g * v[r] for r, g in decompose(f, p).items()
+                        if r in v), R.constant(0))
+
+        assert I.contains(psi(R.constant(1)) - 1)
+        for h in I.gens:
+            for b in product(range(p), repeat=R.nvars):
+                shifted = Polynomial.monomial(R.domain, R.nvars, b) * h
+                assert I.contains(psi(shifted)), (h, b)
+
+    @pytest.mark.parametrize("e", [0, -1])
+    def test_exponent_below_one_rejected(self, e):
         spec = TripleSpec(ring(["x", "y", "z"], 7, ["x^3 + y^3 + z^3"]))
-        result = splitting_oracle(spec, 1)
-        assert result.witness_map  # a nonzero graded splitting was returned
+        with pytest.raises(ValueError, match="e must be >= 1"):
+            splitting_oracle(spec, e)
 
     def test_bound_too_small(self):
         spec = TripleSpec(ring(["x", "y", "z"], 7, ["x^3 + y^3 + z^3"]))
         assert splitting_oracle(spec, 1, degree_bound=-1).status == \
             "bound_too_small"
+
+
+def _reference_solve(equations, ncols, p):
+    """Dense Gauss-Jordan elimination over F_p with the oracle's pivot rule:
+    rows in order, each pivot the least column of its reduced row, free
+    columns 0.  None when some row reduces to 0 = nonzero."""
+    pivots = []   # (column, dense row with the constant last), fully reduced
+    for row, const in equations:
+        vec = [0] * ncols + [const % p]
+        for c, val in row.items():
+            vec[c] = val % p
+        for col, prow in pivots:
+            f = vec[col]
+            vec = [(a - f * b) % p for a, b in zip(vec, prow)]
+        lead = next((c for c in range(ncols) if vec[c]), None)
+        if lead is None:
+            if vec[ncols]:
+                return None
+            continue
+        inv = pow(vec[lead], -1, p)
+        vec = [a * inv % p for a in vec]
+        pivots = [(col, [(a - prow[lead] * b) % p for a, b in zip(prow, vec)])
+                  for col, prow in pivots]
+        pivots.append((lead, vec))
+    solution = [0] * ncols
+    for col, prow in pivots:
+        solution[col] = prow[ncols]
+    return solution
+
+
+def _random_system(rng, p):
+    """A sparse affine system over F_p: rows that are random combinations of
+    a few base rows (rank-deficient), with constants that are the same
+    combination or, now and then, one changed (inconsistent)."""
+    ncols = rng.randint(1, 14)
+    base = []
+    for _ in range(rng.randint(1, ncols)):
+        cols = rng.sample(range(ncols), rng.randint(1, min(ncols, 4)))
+        base.append(({c: rng.randrange(1, p) for c in cols}, rng.randrange(p)))
+    equations = []
+    for _ in range(rng.randint(1, 2 * len(base) + 2)):
+        row, const = {}, 0
+        for brow, bconst in rng.sample(base, rng.randint(1, min(3, len(base)))):
+            f = rng.randrange(1, p)
+            for c, val in brow.items():
+                row[c] = row.get(c, 0) + f * val
+            const += f * bconst
+        if rng.random() < 0.08:
+            const += rng.randrange(1, p)
+        # unreduced entries, and zeros, as a caller may pass them
+        equations.append(({c: val + p * rng.randrange(-2, 3)
+                           for c, val in row.items()}, const))
+    return equations, ncols
+
+
+class TestSolveFp:
+    """``_solve_fp`` against a dense reference with the same pivot rule."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_against_dense_reference(self, p):
+        rng = random.Random(2400 + p)
+        outcomes = set()
+        for _ in range(300):
+            equations, ncols = _random_system(rng, p)
+            got = fcriteria._solve_fp(equations, ncols, p)
+            expected = _reference_solve(equations, ncols, p)
+            assert got == expected, equations
+            if got is None:
+                outcomes.add("inconsistent")
+                continue
+            outcomes.add("solved")
+            for row, const in equations:
+                assert sum(val * got[c] for c, val in row.items()) % p \
+                    == const % p
+        assert outcomes == {"inconsistent", "solved"}
 
 
 AGREEMENT_FIXTURES = [
@@ -309,7 +410,7 @@ def _built(pairs, q):
     """The generators of ``_fedder_colon``'s pairs, each checked against its
     truncation mod m^[q]."""
     gens = [build() for _, build in pairs]
-    assert [short for short, _ in pairs] == [_truncate(h, q) for h in gens]
+    assert [short() for short, _ in pairs] == [_truncate(h, q) for h in gens]
     return gens
 
 
@@ -460,6 +561,24 @@ class TestFedderClosedForms:
         base = f ** 4
         F = base.frobenius_power(5) * base
         assert got == [F * R.domain.inv(f.leading_coefficient())]
+
+    def test_general_route_truncates_each_generator_once_on_demand(
+            self, monkeypatch):
+        truncated = []
+
+        def truncate_spy(f, *args):
+            truncated.append(f)
+            return _truncate(f, *args)
+
+        R = ring(["a", "b", "c", "d", "e", "f"], 3,
+                 ["a*e - b*d", "a*f - c*d", "b*f - c*e"])
+        pairs = _fedder_colon(R, FrobeniusPower(3, 1), Budget())
+        assert len(pairs) > 1
+        monkeypatch.setattr(fcriteria, "_truncate", truncate_spy)
+        short, build = pairs[-1]
+        assert short() is short()
+        assert truncated == [build()]
+        assert short() == _truncate(build(), 3)
 
     def test_recogniser(self):
         two_quadrics = ring(["x", "y", "z", "w", "v"], 3,
