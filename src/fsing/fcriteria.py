@@ -27,7 +27,7 @@ from operator import add, mul
 
 from .groebner import Budget, Ideal, colon_ideal
 from .polycore import GREVLEX, DomainError, Polynomial, PolyError, ceil_frac
-from .frobenius import FrobeniusPower, bracket_power, decompose
+from .frobenius import FrobeniusPower, bracket_power
 from .triples import DivisorData, RingPresentation, TripleSpec
 
 # re-exported domain types live here per the module map
@@ -186,13 +186,14 @@ class SFRResult:
 
 def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
                   budget: Budget | None, indices=None):
-    """Generators h of (I^[q] : I) modulo I^[q], or [1] for a regular ambient
-    ring, as pairs of calls (one that gives h mod m^[q], one that gives h).
+    """Generators h of (I^[q] : I) modulo I^[q], as pairs of calls (one that
+    gives h mod m^[q], one that gives h).
 
-    A complete intersection (f_1, ..., f_k), hypersurfaces included, has the
-    colon I^[q] + (F), F = (f_1 ... f_k)^(q-1) (Fedder 1983), and gets the
-    one closed form F / lc(f_1 ... f_k): equal to the general colon as an
-    ideal modulo I^[q], and for k = 1 byte-equal to ``colon_ideal``'s
+    A complete intersection (f_1, ..., f_k), hypersurfaces and the regular
+    ambient ring (k = 0, F = 1) included, has the colon I^[q] + (F),
+    F = (f_1 ... f_k)^(q-1) (Fedder 1983), and gets the one closed form
+    F / lc(f_1 ... f_k): equal to the general colon as an ideal modulo
+    I^[q], and for k = 1 byte-equal to ``colon_ideal``'s
     quotient of the monic f^q by f.  The relations vanish at the origin, so
     I^[q] lies in the monomial ideal m^[q], and d * (I^[q] + (F)) escapes
     m^[q] iff d * F does; for an escape in the fiber variables only, this
@@ -202,12 +203,9 @@ def _fedder_colon(ring: RingPresentation, power: FrobeniusPower,
     when a witness needs it.  Any other ideal takes the general route, whose
     generators are truncated only when the search first reaches them.
     """
-    if ring.is_regular_ambient:
-        one = ring.constant(1)
-        return [(lambda: one, lambda: one)]
     gens = ring.relations.gens
     if len(gens) == 1 or complete_intersection(ring, budget):
-        f = reduce(mul, gens)
+        f = reduce(mul, gens) if gens else ring.constant(1)
         unit = ring.domain.inv(f.leading_coefficient(GREVLEX))
         p = power.p
         base = f ** (p - 1)
@@ -450,7 +448,7 @@ def suggest_test_elements(ring: RingPresentation,
 
 @dataclass(frozen=True)
 class SplittingOracleResult:
-    status: str  # "holds" | "fails" | "bound_too_small"
+    status: str  # "holds" | "fails"
     e: int
     weights: tuple = ()
     witness_map: dict | None = None  # residue monomial -> value polynomial
@@ -484,7 +482,6 @@ def find_positive_grading(polys, nvars: int):
 def _kernel_basis(rows, nvars):
     matrix = [list(map(Fraction, r)) for r in rows]
     pivots = {}
-    rank_rows = []
     for row in matrix:
         row = row[:]
         for col, rr in pivots.items():
@@ -495,7 +492,6 @@ def _kernel_basis(rows, nvars):
             if val != 0:
                 row = [a / val for a in row]
                 pivots[col] = row
-                rank_rows.append(row)
                 break
     free = [i for i in range(nvars) if i not in pivots]
     basis = []
@@ -524,15 +520,14 @@ def _integerize(w):
     return tuple(x // (g or 1) for x in ints)
 
 
-def splitting_oracle(spec: TripleSpec, e: int,
-                     degree_bound: int | None = None) -> SplittingOracleResult:
+def splitting_oracle(spec: TripleSpec, e: int) -> SplittingOracleResult:
     """Decide splitting by solving psi(d) = 1 for a p^{-e}-linear psi: R -> R.
 
     psi is parametrized by its values v_b = psi(x^b) on the pushforward
-    basis; it descends to R = P/I iff psi maps every x^b * h_j (h_j the
-    relations) into I.  Grading pins the degree of each v_b exactly, so the
-    system is finite; degree_bound caps those degrees and "bound_too_small"
-    flags a cap that actually dropped unknowns.
+    basis, b in [0, q)^n; it descends to R = P/I iff psi maps every
+    x^b * h_j (h_j the relations) into I.  Grading pins the degree of each
+    v_b exactly, deg v_b = (w(b) - w(d)) / q <= (q - 1) sum(w) / q < sum(w),
+    so the system is finite and is solved exactly, with no degree cap.
     """
     ring = spec.ring
     p = ring.domain.characteristic
@@ -545,19 +540,12 @@ def splitting_oracle(spec: TripleSpec, e: int,
     if not spec.a_is_trivial:
         graded_input += list(spec.a.gens)
     weights = find_positive_grading(graded_input, ring.nvars)
-    top_deg = max([g.total_degree() for g in graded_input] + [1])
-    if degree_bound is None:
-        degree_bound = q * top_deg * ring.nvars
-
-    best = "fails"
     for factors in _multiplier_candidates(spec, q):
-        status, witness = _oracle_single(ring, _multiply_out(ring, factors),
-                                         q, weights, degree_bound)
-        if status == "holds":
+        witness = _oracle_single(ring, _multiply_out(ring, factors), q,
+                                 weights)
+        if witness is not None:
             return SplittingOracleResult("holds", e, weights, witness)
-        if status == "bound_too_small":
-            best = "bound_too_small"
-    return SplittingOracleResult(best, e, weights)
+    return SplittingOracleResult("fails", e, weights)
 
 
 def _graded_monomials(nvars: int, weights, degree: int):
@@ -573,37 +561,30 @@ def _graded_monomials(nvars: int, weights, degree: int):
         for e in range(remaining // w + 1):
             rec(i + 1, remaining - e * w, prefix + [e])
 
-    if degree < 0:
-        return []
     rec(0, degree, [])
     return out
 
 
-def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
-                   degree_bound: int):
-    """Solve for psi with psi(d) = 1 mod I and psi(I) subseteq I."""
-    if d.is_zero():
-        return "fails", None
+def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights):
+    """Solve for psi with psi(d) = 1 mod I and psi(I) subseteq I; the map
+    {residue b: v_b}, or None if there is none.
+
+    Every factor of d is an input that ``find_positive_grading`` made
+    homogeneous, so d is homogeneous (and nonzero, as a product of nonzero
+    polynomials over a field)."""
     dom = ring.domain
     nvars = ring.nvars
-    if not d.is_homogeneous(weights):
-        raise NonGradedError("multiplier is not homogeneous for the grading")
     deg_d = d.weighted_degree(weights)
 
     # unknown blocks: v_b for residues b with (w(b) - deg_d) divisible by q
     unknowns = []     # list of (residue b, monomial of v_b)
     block_index = {}  # residue -> {monomial: column}
-    truncated = False
     for b in product(range(q), repeat=nvars):
         wb = sum(w * e for w, e in zip(weights, b))
         num = wb - deg_d
         if num < 0 or num % q:
             continue
-        deg_v = num // q
-        if deg_v > degree_bound:
-            truncated = True
-            continue
-        monos = _graded_monomials(nvars, weights, deg_v)
+        monos = _graded_monomials(nvars, weights, num // q)
         if not monos:
             continue
         cols = {}
@@ -613,7 +594,7 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
         block_index[b] = cols
 
     if not unknowns:
-        return ("bound_too_small" if truncated else "fails"), None
+        return None
 
     nf = ring.relations.normal_form
     # nf is linear, so each monomial's normal form is computed once
@@ -625,6 +606,18 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
             terms = nf_terms[m] = nf(Polynomial(dom, nvars, {m: 1},
                                                 _clean=True)).terms
         return terms
+
+    def pieces(f: Polynomial, b) -> dict:
+        """x^b f over the pushforward basis, as {residue: {quotient: c}} for
+        the residues with unknowns: x^(a+b) = (x^((a+b) div q))^q
+        x^((a+b) mod q) for each term c x^a of f, in f's term order."""
+        parts: dict = {}
+        for a, c in f.terms.items():
+            s = tuple(map(add, a, b))
+            res = tuple(x % q for x in s)
+            if res in block_index:
+                parts.setdefault(res, {})[tuple(x // q for x in s)] = c
+        return parts
 
     def rows(parts, rhs):
         """parts: {residue b: {monomial a: coefficient c}} for sum c x^a v_b;
@@ -644,37 +637,24 @@ def _oracle_single(ring: RingPresentation, d: Polynomial, q: int, weights,
 
     def equations():
         """The system, row by row, so that it is never held whole."""
-        # descent conditions: psi(x^b h_j) in I.  A term c x^a of h_j gives
-        # x^(a+b) = (x^((a+b) div q))^q x^((a+b) mod q), so the pieces of
-        # x^b h_j over the pushforward basis come from exponent arithmetic,
-        # in the order of h_j's terms; the right-hand side is zero
+        # descent conditions: psi(x^b h_j) in I, right-hand side zero
         for h in ring.relations.gens:
-            terms = h.terms.items()
             for b in product(range(q), repeat=nvars):
-                parts: dict = {}
-                for a, c in terms:
-                    s = tuple(map(add, a, b))
-                    res = tuple(x % q for x in s)
-                    if res in block_index:
-                        parts.setdefault(res, {})[tuple(x // q for x in s)] = c
-                if parts:
-                    yield from rows(parts, {})
-        # splitting condition: psi(d) = 1
-        yield from rows({r: w.terms for r, w in decompose(d, q).items()
-                         if r in block_index},
-                        nf(Polynomial.constant(dom, nvars, 1)).terms)
+                yield from rows(pieces(h, b), {})
+        # splitting condition: psi(d) = 1; the relations vanish at the
+        # origin, so 1 is its own normal form
+        origin = (0,) * nvars
+        yield from rows(pieces(d, origin), {origin: 1})
 
     solution = _solve_fp(equations(), len(unknowns), dom.p)
     if solution is None:
-        return ("bound_too_small" if truncated else "fails"), None
+        return None
     witness: dict = {}
-    for (b, m), col in zip(unknowns, range(len(unknowns))):
-        c = solution[col]
-        if c % dom.p:
-            witness.setdefault(b, {})[m] = c % dom.p
-    witness_polys = {b: Polynomial(dom, nvars, t, _clean=False)
-                     for b, t in witness.items()}
-    return "holds", witness_polys
+    for (b, m), c in zip(unknowns, solution):
+        if c:
+            witness.setdefault(b, {})[m] = c
+    return {b: Polynomial(dom, nvars, t, _clean=False)
+            for b, t in witness.items()}
 
 
 def _solve_fp(equations, ncols: int, p: int):

@@ -35,14 +35,37 @@ class DomainError(PolyError):
     """Domain mismatch or invalid coefficient domain."""
 
 
+# Miller-Rabin on the prime bases up to 41 decides primality of every n
+# below _PRIME_BOUND (Sorenson and Webster 2015); no larger modulus is taken.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < _PRIME_BOUND: trial division by the
+    bases, then a strong-probable-prime test to each of them."""
+    if n >= _PRIME_BOUND:
+        raise DomainError(f"modulus {n} is too large: primality is "
+                          f"decided only below {_PRIME_BOUND}")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0   # n - 1 = d * 2^s with d odd
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

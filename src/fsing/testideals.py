@@ -393,18 +393,18 @@ def fiber_compare(setup: RelativeSetup, n: int, point,
 
 
 def relative_pair_setup(R: RingPresentation, delta: DivisorData, a: Ideal,
-                        lam, n_tau: int = 4,
-                        budget: Budget | None = None) -> RelativeSetup:
+                        lam, budget: Budget | None = None) -> RelativeSetup:
     """Build the relative setup attached to a pair (X, Delta) over V.
 
     The multiplier is u = prod g_i^{c_i(q-1)}; I is the absolute test ideal
     tau(X, Delta) of the total space (computable since the ambient is a
-    polynomial ring over F_p), the canonical test-element ideal.
+    polynomial ring over F_p), the canonical test-element ideal, summed to
+    level 4.
     """
     power, u, seed = pair_multiplier(R, delta)
     gamma = PLinearMap(power, u)
     unit_a = Ideal(R.domain, R.nvars, [R.constant(1)])
-    total = tau_absolute(gamma, seed, unit_a, Fraction(1), n_tau, budget)
+    total = tau_absolute(gamma, seed, unit_a, Fraction(1), 4, budget)
     return RelativeSetup(R, gamma, total.ideal, a, Fraction(lam), delta)
 
 
@@ -418,7 +418,6 @@ class SumDecompositionReport:
 
 def sum_decomposition_check(R: RingPresentation, delta: DivisorData,
                             a_list, lambda_list, sample_budget: int,
-                            n_max: int = 4,
                             budget: Budget | None = None) -> SumDecompositionReport:
     """Sampled two-sided check of the sum-over-divisors decomposition.
 
@@ -426,13 +425,12 @@ def sum_decomposition_check(R: RingPresentation, delta: DivisorData,
     tau(X, Delta + sum div(f_i)/m_i) must sit inside tau(X, Delta,
     prod a_i^{lam_i}) (exact); the reverse containment is attempted against
     the sum of sampled summands and may fail for a small budget, which is
-    reported distinctly.
+    reported distinctly.  Every test ideal is summed to level 4.
     """
     p = R.domain.characteristic
     pairs = list(zip(a_list, [Fraction(x) for x in lambda_list]))
     power, u, I = pair_multiplier(R, delta)
-    tau_triple = _level_sum(PLinearMap(power, u), I, pairs, n_max,
-                            budget=budget)
+    tau_triple = _level_sum(PLinearMap(power, u), I, pairs, 4, budget=budget)
 
     sampled_gens = []
     samples = 0
@@ -451,8 +449,8 @@ def sum_decomposition_check(R: RingPresentation, delta: DivisorData,
         try:
             summand = tau_pair_divisor(
                 R, DivisorData(tuple(delta.components) + tuple(extra)),
-                Ideal(R.domain, R.nvars, [R.constant(1)]), Fraction(1),
-                n_max, budget)
+                Ideal(R.domain, R.nvars, [R.constant(1)]), Fraction(1), 4,
+                budget)
         except TestIdealError:
             continue  # p divides the sampled index; skip this m
         samples += 1

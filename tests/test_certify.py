@@ -355,6 +355,16 @@ class TestCertificateContract:
         path.write_text(json.dumps(cert))
         assert not verify_certificate_file(str(path))
 
+    def test_huge_modulus_fails_closed_promptly(self, tmp_path):
+        # primality of a forged p is decided or refused, never searched
+        cert = certify_log_canonical(lc_job(prime=7, e_max=1)).to_dict()
+        cert["verification"].update(p=2 ** 127 - 1, e=1, q=2 ** 127 - 1)
+        path = tmp_path / "lc.json"
+        path.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        assert not verify_certificate_file(str(path))
+        assert time.perf_counter() - start < 1
+
     def fermat_lc_certificate(self):
         # the cone over an elliptic curve: lc, but not klt
         return certify_log_canonical(parse_job({

@@ -258,6 +258,9 @@ class TestSplittingOracle:
         (["x", "y", "z"], 7, ["x^3 + y^3 + z^3"]),
         (["x", "y", "z", "w", "v"], 3,
          ["x*y - z*w", "x^2 + y^2 + z^2 + w^2 + v^2"]),
+        # E_8, weights (15, 10, 6): its v_b reach weighted degree 24, below
+        # sum(w) = 31 but far above the relation's total degree 5
+        (["x", "y", "z"], 7, ["x^2 + y^3 + z^5"]),
     ])
     def test_witness_map_solves_equation(self, names, p, rels):
         """psi, rebuilt from the witness map alone, splits R at e = 1:
@@ -284,11 +287,6 @@ class TestSplittingOracle:
         spec = TripleSpec(ring(["x", "y", "z"], 7, ["x^3 + y^3 + z^3"]))
         with pytest.raises(ValueError, match="e must be >= 1"):
             splitting_oracle(spec, e)
-
-    def test_bound_too_small(self):
-        spec = TripleSpec(ring(["x", "y", "z"], 7, ["x^3 + y^3 + z^3"]))
-        assert splitting_oracle(spec, 1, degree_bound=-1).status == \
-            "bound_too_small"
 
 
 def _reference_solve(equations, ncols, p):

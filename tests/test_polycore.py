@@ -1,6 +1,7 @@
 """Polynomial layer: parsing, arithmetic, canonical forms."""
 
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from fsing.polycore import (
     ParseError,
     Polynomial,
     RATIONALS,
+    _is_prime,
     elimination_order,
     parse_polynomial,
     poly_arith,
@@ -593,3 +595,32 @@ class TestParserAgainstReference:
                 assert (_parse_outcome(parse_polynomial, text, variables, dom)
                         == _parse_outcome(_reference_parse, text, variables,
                                           dom))
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        assert all(_is_prime(n) == _trial_division(n)
+                   for n in range(-3, 10 ** 5))
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_composite(self, n):
+        # strong probable primes to the bases 2, 3, 5, 7 (and up to 23)
+        assert not _is_prime(n)
+        with pytest.raises(DomainError, match="not prime"):
+            prime_field(n)
+
+    def test_mersenne_61_accepted_promptly(self):
+        start = time.perf_counter()
+        assert _is_prime(2 ** 61 - 1)
+        assert prime_field(2 ** 61 - 1).p == 2 ** 61 - 1
+        assert time.perf_counter() - start < 1
+
+    def test_modulus_beyond_bound_refused_promptly(self):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="3317044064679887385961981"):
+            prime_field(2 ** 127 - 1)
+        assert time.perf_counter() - start < 1
