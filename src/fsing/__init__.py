@@ -13,8 +13,6 @@ from .polycore import (
     Polynomial,
     RATIONALS,
     parse_polynomial,
-    poly_arith,
-    poly_power,
     prime_field,
 )
 from .groebner import (
@@ -22,9 +20,6 @@ from .groebner import (
     BudgetExceededError,
     Ideal,
     colon_ideal,
-    groebner_basis,
-    ideal_membership,
-    ideal_ops,
     intersection,
 )
 from .triples import (

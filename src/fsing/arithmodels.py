@@ -1,10 +1,10 @@
 """Spreading out Q-defined data over Z[1/n], reducing modulo primes, and the
 one perfected-base model k^{1/p^n} of an F_p(t..) input.
 
-Denominators are cleared generator by generator; every prime dividing a
-cleared denominator is excluded.  Flatness and normality of the model at a
-non-excluded prime are NOT verified; certificates record them as
-assumptions.
+Denominators are cleared generator by generator; n is the lcm of every
+cleared denominator, and a prime is good iff it does not divide n.
+Flatness and normality of the model at a good prime are NOT verified;
+certificates record them as assumptions.
 """
 
 from __future__ import annotations
@@ -23,70 +23,47 @@ class ReductionError(Exception):
     pass
 
 
-def _prime_factors(n: int):
-    n = abs(int(n))
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def clear_denominators(f: Polynomial):
-    """(integral polynomial, excluded primes of the cleared denominator)."""
+    """(f times its cleared denominator d, d): the lcm of the coefficient
+    denominators."""
     if not f.domain.is_rational:
         raise ReductionError("only Q-coefficients can be spread out")
-    cleared = f * lcm(*(Fraction(c).denominator for c in f.terms.values()))
-    primes = set()
-    for c in f.terms.values():
-        primes |= _prime_factors(Fraction(c).denominator)
-    return cleared, primes
+    den = lcm(*(Fraction(c).denominator for c in f.terms.values()))
+    return f * den, den
 
 
 @dataclass(frozen=True)
 class ArithmeticModel:
-    """A Z[1/n]-model of Q-defined input data."""
+    """A Z[1/n]-model of Q-defined input data, n = ``denominator``."""
 
     var_names: tuple
     integral_relations: tuple       # polynomials over Q with integer coefficients
     integral_divisor: DivisorData   # generators cleared, coefficients untouched
     integral_a: tuple
-    excluded_primes: frozenset
+    denominator: int                # n: lcm of every cleared denominator
     origin: TripleSpec
 
     def good_prime(self, p: int) -> bool:
-        return p not in self.excluded_primes
+        return self.denominator % p != 0
 
 
 def spread_out(spec: TripleSpec) -> ArithmeticModel:
-    """Clear denominators of all generators; collect excluded primes."""
+    """Clear denominators of all generators; n is the lcm of them all."""
     ring = spec.ring
     if not ring.domain.is_rational:
         raise ReductionError("spread_out expects a Q-defined triple")
-    excluded = set()
-    rel = []
-    for g in ring.relations.gens:
-        cleared, primes = clear_denominators(g)
-        rel.append(cleared)
-        excluded |= primes
-    div_comps = []
-    for g, c in spec.delta.components:
-        cleared, primes = clear_denominators(g)
-        div_comps.append((cleared, c))
-        excluded |= primes
-    a_gens = []
-    for g in spec.a.gens:
-        cleared, primes = clear_denominators(g)
-        a_gens.append(cleared)
-        excluded |= primes
-    return ArithmeticModel(ring.var_names, tuple(rel),
-                           DivisorData(tuple(div_comps)), tuple(a_gens),
-                           frozenset(excluded), spec)
+    dens = [1]
+
+    def clear(g: Polynomial) -> Polynomial:
+        cleared, den = clear_denominators(g)
+        dens.append(den)
+        return cleared
+
+    rel = tuple(map(clear, ring.relations.gens))
+    delta = spec.delta.map_components(clear)
+    a_gens = tuple(map(clear, spec.a.gens))
+    return ArithmeticModel(ring.var_names, rel, delta, a_gens, lcm(*dens),
+                           spec)
 
 
 def _reduce_poly(f: Polynomial, p: int) -> Polynomial:
@@ -101,36 +78,25 @@ def reduce_mod_p(model: ArithmeticModel, p: int) -> TripleSpec:
         raise ReductionError(f"prime {p} is excluded for this model")
     dom = prime_field(p)
     nvars = len(model.var_names)
-    rel = []
-    for g in model.integral_relations:
+
+    def reduce(what: str, g: Polynomial) -> Polynomial:
         r = _reduce_poly(g, p)
         if r.is_zero():
             raise ReductionError(
-                f"relation {g.to_string(model.var_names)} vanishes mod {p}")
-        rel.append(r)
-    comps = []
-    for g, c in model.integral_divisor.components:
-        r = _reduce_poly(g, p)
-        if r.is_zero():
-            raise ReductionError(
-                f"divisor component {g.to_string(model.var_names)} vanishes mod {p}")
-        comps.append((r, c))
-    a_gens = []
-    for g in model.integral_a:
-        r = _reduce_poly(g, p)
-        if r.is_zero():
-            raise ReductionError(
-                f"generator of a ({g.to_string(model.var_names)}) vanishes mod {p}")
-        a_gens.append(r)
+                what.format(g.to_string(model.var_names)) + f" vanishes mod {p}")
+        return r
+
+    rel = [reduce("relation {}", g) for g in model.integral_relations]
+    delta = model.integral_divisor.map_components(
+        lambda g: reduce("divisor component {}", g))
+    a_gens = [reduce("generator of a ({})", g) for g in model.integral_a]
     ring = RingPresentation(model.var_names, dom, Ideal(dom, nvars, rel),
                             model.origin.ring.base_vars)
-    a = Ideal(dom, nvars, a_gens) if a_gens else Ideal(
-        dom, nvars, [Polynomial.constant(dom, nvars, 1)])
-    return TripleSpec(ring, DivisorData(tuple(comps)), a, model.origin.lam)
+    return TripleSpec(ring, delta, Ideal(dom, nvars, a_gens), model.origin.lam)
 
 
 def suggest_primes(model: ArithmeticModel):
-    """The five smallest non-excluded primes (one good prime suffices)."""
+    """The five smallest good primes (one good prime suffices)."""
     out = []
     p = 2
     while len(out) < 5:

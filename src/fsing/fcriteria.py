@@ -164,7 +164,7 @@ class FPurityWitness:
 
 @dataclass(frozen=True)
 class FPurityResult:
-    status: str  # "holds" | "fails" | "no_witness_among_generators"
+    status: str  # "holds" | "fails"
     e: int
     witness: FPurityWitness | None = None
 
@@ -289,11 +289,9 @@ def sharply_fpure(spec: TripleSpec, e: int,
     witness = _search_witness(spec, e, budget)
     if witness is not None:
         return FPurityResult("holds", e, witness)
-    # products of generators generate the multiplier ideal, so exhausting
-    # them is definitive; the hedged status is kept for non-principal a per
-    # the decision ledger.
-    definitive = spec.a_is_trivial or len(spec.a.gens) <= 1
-    return FPurityResult("fails" if definitive else "no_witness_among_generators", e)
+    # the generator products generate the multiplier ideal and m^[q] is an
+    # ideal, so no escaping product means no escaping element: definitive
+    return FPurityResult("fails", e)
 
 
 def strongly_fregular(spec: TripleSpec, c: Polynomial, e_max: int,

@@ -440,16 +440,6 @@ class Ideal:
 # Spec-level operations.
 
 
-def groebner_basis(I: Ideal, order: MonomialOrder = GREVLEX,
-                   budget: Budget | None = None):
-    return I.groebner_basis(order, budget)
-
-
-def ideal_membership(f: Polynomial, I: Ideal,
-                     budget: Budget | None = None) -> bool:
-    return I.contains(f, budget)
-
-
 def _prepend_variable(f: Polynomial) -> Polynomial:
     return Polynomial(f.domain, f.nvars + 1,
                       {(0,) + m: c for m, c in f.terms.items()}, _clean=True)
@@ -501,10 +491,6 @@ def _exact_quotient(g: Polynomial, f: Polynomial,
     return qs[0]
 
 
-def ideal_sum(I: Ideal, J: Ideal) -> Ideal:
-    return Ideal(I.domain, I.nvars, I.gens + J.gens)
-
-
 def ideal_product(I: Ideal, J: Ideal) -> Ideal:
     gens = [f * g for f in I.gens for g in J.gens]
     return Ideal(I.domain, I.nvars, gens)
@@ -550,18 +536,6 @@ def _compositions(total: int, parts: int):
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
             yield (head,) + rest
-
-
-def ideal_ops(I: Ideal, J: Ideal, op: str, budget: Budget | None = None):
-    if op == "sum":
-        return ideal_sum(I, J)
-    if op == "product":
-        return ideal_product(I, J)
-    if op == "intersection":
-        return intersection(I, J, budget)
-    if op == "equality":
-        return I.equals(J, budget)
-    raise ValueError(f"unknown ideal operation {op!r}")
 
 
 def eliminate(I: Ideal, k: int, budget: Budget | None = None) -> Ideal:

@@ -878,19 +878,3 @@ def _add_term(acc: dict, m, c, negate: bool, p: int | None):
             acc[m] = s
         else:
             del acc[m]
-
-
-def poly_arith(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Exact ring operation; op is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def poly_power(f: Polynomial, n: int) -> Polynomial:
-    """n-th power by binary exponentiation (n >= 0)."""
-    return f ** n

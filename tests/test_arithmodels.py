@@ -1,5 +1,6 @@
 """Spreading out, reduction mod p, and perfected-base SFR checks."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -25,22 +26,54 @@ def q_spec(relations=(), delta=(), names=("x", "y")):
     return TripleSpec(ring, divisor(comps))
 
 
+def a_spec(gens, lam=1, names=("x", "y")):
+    R0 = polynomial_ring(list(names), RATIONALS)
+    return TripleSpec(R0, a=R0.ideal([R0.parse(g) for g in gens]), lam=lam)
+
+
 class TestSpreadOut:
     def test_half_denominator(self):
         model = spread_out(q_spec(["x^2 + (1/2)*y^3"]))
-        assert model.excluded_primes == frozenset({2})
+        assert model.denominator == 2
         R0 = polynomial_ring(["x", "y"], RATIONALS)
         assert model.integral_relations[0] == R0.parse("2*x^2 + y^3")
 
     def test_integer_input_excludes_nothing(self):
         model = spread_out(q_spec(["x^3 - y^2"]))
-        assert model.excluded_primes == frozenset()
+        assert model.denominator == 1
 
     def test_mixed_denominators(self):
         model = spread_out(q_spec(["1/3*x + 1/5*y"]))
-        assert model.excluded_primes == frozenset({3, 5})
+        assert model.denominator == 15
         R0 = polynomial_ring(["x", "y"], RATIONALS)
         assert model.integral_relations[0] == R0.parse("5*x + 3*y")
+
+    @pytest.mark.parametrize("spec", [
+        q_spec(["1/3*x + 1/5*y", "x^2 - 1/49*y"], [("1/4*x + y", "1/2")]),
+        q_spec(delta=[("x - 1/6*y", "1"), ("1/35*x^3 + y", "1/3")]),
+        a_spec(["1/2*x", "y - 1/11*x^2", "1/47*x*y"], lam="1/2"),
+        q_spec(["x^3 - 1/10*y^2"], [("y", "1/2")]),
+    ])
+    def test_good_prime_is_no_divisor_of_a_denominator(self, spec):
+        polys = list(spec.ring.relations.gens) + list(spec.a.gens)
+        polys += [g for g, _ in spec.delta.components]
+        dens = {Fraction(c).denominator for f in polys for c in f.terms.values()}
+        model = spread_out(spec)
+        for p in range(2, 50):
+            if all(p % d for d in range(2, p)):
+                assert model.good_prime(p) == all(d % p for d in dens), p
+
+    def test_huge_prime_denominator_is_cheap_and_refused(self):
+        # n = 2^61 - 1 is prime; good primes are decided by divisibility of
+        # n, with no factoring of it
+        p = 2 ** 61 - 1
+        start = time.perf_counter()
+        model = spread_out(q_spec([f"x^2 + 1/{p}*y^3"]))
+        assert time.perf_counter() - start < 1
+        assert model.denominator == p
+        assert not model.good_prime(p) and model.good_prime(3)
+        with pytest.raises(ReductionError, match="excluded"):
+            reduce_mod_p(model, p)
 
 
 class TestReduceModP:
@@ -55,10 +88,17 @@ class TestReduceModP:
         with pytest.raises(ReductionError):
             reduce_mod_p(model, 2)
 
-    def test_vanishing_generator_rejected(self):
-        model = spread_out(q_spec(["3*x^2 + 3*y^3"]))
-        with pytest.raises(ReductionError):
-            reduce_mod_p(model, 3)
+    @pytest.mark.parametrize("spec, message", [
+        (q_spec(["3*x^2 + 3*y^3"]), "relation 3*y^3 + 3*x^2 vanishes mod 3"),
+        (q_spec(delta=[("3*x + 6*y", "1/2")]),
+         "divisor component 3*x + 6*y vanishes mod 3"),
+        (a_spec(["x", "3*y^2"]), "generator of a (3*y^2) vanishes mod 3"),
+    ], ids=["relation", "divisor", "a"])
+    def test_vanishing_generator_rejected(self, spec, message):
+        # these texts reach certificates as "degenerate: ..." statuses
+        with pytest.raises(ReductionError) as err:
+            reduce_mod_p(spread_out(spec), 3)
+        assert str(err.value) == message
 
     def test_determinantal_mod_3_matches_direct_fixture(self):
         # the 5-variable integral model reduces mod 3 to the 4-variable

@@ -34,6 +34,7 @@ GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "corpus_report.json"
 # the 2x2 minors of a generic 2x3 matrix: not a complete intersection, so
 # its Fedder colon takes the general, budgeted route
 MINORS_2X3 = ["a*e - b*d", "a*f - c*d", "b*f - c*e"]
+M61 = 2 ** 61 - 1   # a Mersenne prime
 
 
 def lc_job(**extra):
@@ -156,6 +157,23 @@ class TestCertifyKlt:
             in cert.primes_tried
         assert cert.conclusion == "klt" and cert.prime == 5
         assert verify_witness_data(cert.verification)
+
+    @pytest.mark.parametrize("extra, status", [
+        ({"test_element": f"1/{M61}*x"}, "test element denominator"),
+        ({"relations": [f"x^2 + y^2 + 1/{M61}*z^2"]},
+         f"degenerate: prime {M61} is excluded for this model"),
+    ], ids=["test_element", "relation"])
+    def test_huge_prime_denominator_is_refused_at_once(self, extra, status):
+        # the denominator is refused by divisibility, with no factoring of
+        # it before the first prime is tried
+        data = {"variables": ["x", "y", "z"], "coefficient": "Q",
+                "relations": ["x^2 + y^2 + z^2"], "test_element": "x",
+                "prime": M61, "e_max": 1, **extra}
+        start = time.perf_counter()
+        cert = certify_klt(parse_job(data, "klt"))
+        assert time.perf_counter() - start < 1
+        assert cert.conclusion == "inconclusive"
+        assert cert.primes_tried == [{"prime": M61, "status": status}]
 
     def test_fp_native_budget_exhaustion_is_inconclusive(self):
         # the budget runs out at the input's own prime: reported per cause,

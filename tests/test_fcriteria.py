@@ -172,12 +172,15 @@ class TestSharplyFPure:
             for multiple in (2 * base, 3 * base):
                 assert sharply_fpure(spec, multiple).holds
 
-    def test_nonprincipal_a_gets_hedged_status(self):
+    def test_nonprincipal_a_fails_like_the_oracle(self):
+        # exhausting the products of a's generators is definitive: they
+        # generate a^n, and m^[q] is an ideal
         R = ring(["x", "y"], 3)
         a = R.ideal([R.parse("x"), R.parse("y")])
         spec = TripleSpec(R, DivisorData(()), a, Fraction(3))
-        result = sharply_fpure(spec, 1)
-        assert result.status in ("holds", "no_witness_among_generators")
+        for e in (1, 2):
+            assert sharply_fpure(spec, e).status == "fails"
+            assert splitting_oracle(spec, e).status == "fails"
 
 
 class TestStronglyFRegular:

@@ -16,10 +16,8 @@ from fsing.groebner import (
     colon_ideal,
     divide,
     eliminate,
-    groebner_basis,
-    ideal_membership,
-    ideal_ops,
     ideal_power,
+    ideal_product,
     intersection,
 )
 from fsing.polycore import (
@@ -51,22 +49,22 @@ def ideal(*texts, names=("x", "y"), domain=RATIONALS):
 
 class TestGroebnerBasis:
     def test_principal(self):
-        gb = groebner_basis(ideal("x"), LEX)
+        gb = ideal("x").groebner_basis(LEX)
         assert list(gb) == [P("x")]
 
     def test_two_variables(self):
-        gb = groebner_basis(ideal("x", "y"), GREVLEX)
+        gb = ideal("x", "y").groebner_basis(GREVLEX)
         assert set(gb) == {P("x"), P("y")}
 
     def test_circle_and_line_lex(self):
         # frozen from the sympy oracle: [x - y, y^2 - 1/2] after monic scaling
-        gb = groebner_basis(ideal("x^2 + y^2 - 1", "x - y"), LEX)
+        gb = ideal("x^2 + y^2 - 1", "x - y").groebner_basis(LEX)
         assert set(gb) == {P("x - y"), P("y^2 - 1/2")}
 
     def test_idempotence(self):
         I = ideal("x^2 + y^2 - 1", "x*y - 1")
-        gb = groebner_basis(I, GREVLEX)
-        again = groebner_basis(Ideal(I.domain, I.nvars, list(gb)), GREVLEX)
+        gb = I.groebner_basis(GREVLEX)
+        again = Ideal(I.domain, I.nvars, list(gb)).groebner_basis(GREVLEX)
         assert list(gb) == list(again)
 
     @pytest.mark.skipif(not HAVE_SYMPY, reason="sympy oracle unavailable")
@@ -87,7 +85,7 @@ class TestGroebnerBasis:
         polys = [f for f in polys if not f.is_zero()]
         if not polys:
             return
-        mine = groebner_basis(Ideal(RATIONALS, 2, polys), GREVLEX)
+        mine = Ideal(RATIONALS, 2, polys).groebner_basis(GREVLEX)
         sym = sp.groebner(
             [sp.sympify(f.to_string(names).replace("^", "**")) for f in polys],
             x, y, order="grevlex")
@@ -115,7 +113,7 @@ class TestGroebnerBasis:
         polys = [f for f in (random_poly(), random_poly()) if not f.is_zero()]
         if not polys:
             return
-        mine = groebner_basis(Ideal(dom, 2, polys), GREVLEX)
+        mine = Ideal(dom, 2, polys).groebner_basis(GREVLEX)
         sym = sp.groebner(
             [sp.sympify(f.to_string(names).replace("^", "**")) for f in polys],
             x, y, order="grevlex", modulus=p)
@@ -209,7 +207,7 @@ class TestSympyOracleWide:
 
         polys = [f for f in (random_binomial() for _ in range(7 - nvars))
                  if f]
-        mine = groebner_basis(Ideal(dom, nvars, polys), order)
+        mine = Ideal(dom, nvars, polys).groebner_basis(order)
         assert {frozenset(g.terms.items()) for g in mine} == \
             _sympy_monic_basis(polys, names, order, p)
 
@@ -474,20 +472,20 @@ class TestWideExponents:
 
 class TestMembership:
     def test_basic(self):
-        assert ideal_membership(P("x^2"), ideal("x"))
+        assert ideal("x").contains(P("x^2"))
 
     def test_negative(self):
-        assert not ideal_membership(P("x + y"), ideal("x^2", "y^2"))
+        assert not ideal("x^2", "y^2").contains(P("x + y"))
 
     def test_char2_square(self):
         F2 = prime_field(2)
-        assert ideal_membership(P("(x+y)^2", domain=F2),
-                                ideal("x^2", "y^2", domain=F2))
+        assert ideal("x^2", "y^2", domain=F2).contains(
+            P("(x+y)^2", domain=F2))
 
     def test_zero_ideal(self):
         zero = Ideal(RATIONALS, 2, ())
-        assert ideal_membership(P("0"), zero)
-        assert not ideal_membership(P("x"), zero)
+        assert zero.contains(P("0"))
+        assert not zero.contains(P("x"))
 
 
 class TestColonAndIntersection:
@@ -506,23 +504,24 @@ class TestColonAndIntersection:
         # (I : J) * J subseteq I and I subseteq (I : J)
         for f in C.gens:
             for g in J.gens:
-                assert ideal_membership(f * g, I)
+                assert I.contains(f * g)
         for f in I.gens:
-            assert ideal_membership(f, C)
+            assert C.contains(f)
 
 
 class TestIdealOps:
     def test_sum(self):
-        assert ideal_ops(ideal("x"), ideal("y"), "sum").equals(ideal("x", "y"))
+        I, J = ideal("x"), ideal("y")
+        assert Ideal(I.domain, I.nvars, I.gens + J.gens).equals(ideal("x", "y"))
 
     def test_intersection_op(self):
-        assert ideal_ops(ideal("x"), ideal("y"), "intersection").equals(ideal("x*y"))
+        assert intersection(ideal("x"), ideal("y")).equals(ideal("x*y"))
 
     def test_equality(self):
-        assert ideal_ops(ideal("x", "y"), ideal("x + y", "y"), "equality")
+        assert ideal("x", "y").equals(ideal("x + y", "y"))
 
     def test_product(self):
-        assert ideal_ops(ideal("x"), ideal("y"), "product").equals(ideal("x*y"))
+        assert ideal_product(ideal("x"), ideal("y")).equals(ideal("x*y"))
 
     def test_power(self):
         assert ideal_power(ideal("x", "y"), 2).equals(ideal("x^2", "x*y", "y^2"))
@@ -549,8 +548,8 @@ class TestRandomizedClosure:
             return
         f = I.gens[0] * random_poly()
         g = I.gens[-1] * random_poly()
-        assert ideal_membership(f + g, I)
-        assert ideal_membership(f * random_poly(), I)
+        assert I.contains(f + g)
+        assert I.contains(f * random_poly())
 
 
 def _block_free(gb, k):
@@ -852,7 +851,7 @@ class TestBudget:
     def test_budget_exceeded_is_distinct(self):
         I = ideal("x^4 + y^3 - 1", "x*y^3 - x - y", "x^3*y - 2*y^2 - x")
         with pytest.raises(BudgetExceededError):
-            groebner_basis(I, LEX, Budget(5))
+            I.groebner_basis(LEX, Budget(5))
 
 
 class TestDeterminantalFixture:
